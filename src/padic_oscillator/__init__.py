@@ -55,7 +55,6 @@ from .errors import (
     CausticError,
     DepthTooSmallError,
     DivergenceError,
-    IndeterminateBranchError,
     NormalizationError,
     PadicOscillatorError,
     PrecisionError,
@@ -86,6 +85,7 @@ from .gauss_analysis import (
     gauss_closed_form,
     lambda_p,
     local_constancy_depth,
+    oracle_plan,
     phase_histogram,
 )
 from .propagator import (

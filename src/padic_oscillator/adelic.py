@@ -16,8 +16,6 @@ appear only in the real factor and in final renderings.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -61,26 +59,6 @@ from .propagator import (
     kernel_from_action,
     oscillator_kernel,
 )
-
-
-def worker_count() -> int:
-    """Thread pool width for independent per-place work (PADIC_OSC_THREADS)."""
-    raw = os.environ.get("PADIC_OSC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally in a thread pool, preserving order."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +547,8 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
         except PadicOscillatorError as exc:
             raise type(exc)(f"[place {place}] {exc}") from exc
 
-    factors = _map_ordered(one_place, ordered)
-    return AdelicProduct(ordered, tuple(factors), x_out, x_in)
+    factors = tuple(one_place(place) for place in ordered)
+    return AdelicProduct(ordered, factors, x_out, x_in)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ printed with sorted keys so identical invocations are byte-identical;
 tables can be CSV instead.  Rationals travel as "num/den" strings in
 both directions — no floating-point input on exact paths.
 
-Exit codes: 0 success; 1 suite failure; 2 indeterminate integral
-branch; 3 oracle depth too small; 4 caustic endpoints; 5 divergent
-series evaluation; 6 unstable phase precision; 7 prime cutoff too
-small; 8 non-normalized factor; 64 usage errors.
+Exit codes: 0 success; 1 suite failure; 3 oracle depth too small;
+4 caustic endpoints; 5 divergent series evaluation; 6 unstable phase
+precision; 7 prime cutoff too small; 8 non-normalized factor; 64 usage
+errors.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import (
     CausticError,
     DepthTooSmallError,
     DivergenceError,
-    IndeterminateBranchError,
     NormalizationError,
     PrecisionError,
     PrimeCutoffError,
@@ -61,7 +60,6 @@ from .suites import SUITE_ORDER, run_all, run_suite
 SCHEMA = "padic-oscillator/1"
 
 _EXIT_BY_TYPE = {
-    IndeterminateBranchError: 2,
     DepthTooSmallError: 3,
     CausticError: 4,
     DivergenceError: 5,
@@ -223,14 +221,8 @@ def cmd_vacuum(args) -> int:
     for p in _parse_primes(args.primes):
         entry: dict = {"prime": p}
         if args.method in ("closed-form", "both"):
-            try:
-                entry["closed"] = vacuum_check(p, model, t1, t2, planck=planck,
-                                               method="closed-form", order=order).to_json()
-            except IndeterminateBranchError as exc:
-                if args.method == "closed-form":
-                    raise
-                entry["closed"] = None
-                entry["note"] = f"closed form unavailable: {exc}"
+            entry["closed"] = vacuum_check(p, model, t1, t2, planck=planck,
+                                           method="closed-form", order=order).to_json()
         if args.method in ("brute-force", "both"):
             entry["brute"] = vacuum_check(p, model, t1, t2, planck=planck,
                                           method="brute-force", order=order,

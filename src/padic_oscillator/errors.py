@@ -1,20 +1,11 @@
 """Error types shared across the package.
 
-Each error maps to a CLI exit code, see ``cli.EXIT_CODES``.
+Each error maps to a CLI exit code, see ``cli._EXIT_BY_TYPE``.
 """
 
 
 class PadicOscillatorError(Exception):
     """Base class for all package errors."""
-
-
-class IndeterminateBranchError(PadicOscillatorError):
-    """Neither closed-form branch of the quadratic integral applies.
-
-    Only possible at p = 2, where the two branch conditions leave a gap
-    of two valuations.  Callers should fall back to the brute-force
-    evaluator.
-    """
 
 
 class DepthTooSmallError(PadicOscillatorError):

@@ -1,12 +1,13 @@
 """Quadratic character integrals over p-adic balls.
 
 Evaluates I(alpha, beta, nu) = integral over |x|_p <= p^nu of
-chi_p(alpha*x^2 + beta*x) dx three ways:
+chi_p(alpha*x^2 + beta*x) dx two ways:
 
-* a two-branch closed form (small-alpha branch and stationary-phase
-  branch with the unimodular factor lambda_p),
-* an independent brute-force coset sum with exact phase bookkeeping,
-* and, for the unimodular factor itself, a normalized oracle sum.
+* an exact closed form with three branches: small alpha, stationary
+  phase with the unimodular factor lambda_p, and the dyadic band between
+  them that only exists at p = 2,
+* and an independent brute-force coset sum with exact phase bookkeeping,
+  kept as the oracle for the closed form.
 
 Haar measure is normalized so the unit ball has measure 1.  The brute
 force sum collects exact rational angles (denominator a power of p)
@@ -18,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DepthTooSmallError, IndeterminateBranchError
+from .errors import DepthTooSmallError
 from .exact_numbers import (
     PHASE_ONE,
     HalfPower,
@@ -87,11 +89,11 @@ class AmplitudeValue:
 
 
 def branch_of(spec: GaussIntegralSpec) -> int:
-    """Which closed-form branch applies: 1 (flat) or 2 (stationary phase).
+    """Which closed-form branch applies: 1 (flat), 2 (stationary phase) or 3.
 
     For p = 2 the two conditions |alpha| <= p^(-2 nu) and |4 alpha| > p^(-2 nu)
-    leave a two-valuation-wide gap where neither applies; that gap raises
-    IndeterminateBranchError and callers fall back to the brute-force oracle.
+    leave a two-valuation-wide band, v(alpha) in {2 nu - 1, 2 nu - 2}; there
+    the integral is a finite dyadic sum, branch 3.
     """
     if spec.alpha == 0:
         return 1
@@ -101,10 +103,7 @@ def branch_of(spec: GaussIntegralSpec) -> int:
         return 1
     if v_alpha + padic_valuation(4, spec.prime) < target:
         return 2
-    raise IndeterminateBranchError(
-        f"p={spec.prime}: |alpha|_p in the uncovered band between the branch "
-        f"conditions (valuation {v_alpha}, ball exponent {spec.ball_exponent})"
-    )
+    return 3
 
 
 def gauss_closed_form(spec: GaussIntegralSpec) -> AmplitudeValue:
@@ -115,6 +114,8 @@ def gauss_closed_form(spec: GaussIntegralSpec) -> AmplitudeValue:
         if omega(prime_power(p, nu) * padic_norm(beta, p)) == 0:
             return AmplitudeValue(1, None, PHASE_ONE, PHASE_ONE)
         return AmplitudeValue(1, HalfPower(Fraction(p), Fraction(nu)), PHASE_ONE, PHASE_ONE)
+    if branch == 3:
+        return _dyadic_band(alpha * prime_power(2, -2 * nu), beta * prime_power(2, -nu), nu)
     lam = lambda_p(alpha, p)
     if omega(prime_power(p, -nu) * padic_norm(beta / (2 * alpha), p)) == 0:
         return AmplitudeValue(2, None, PHASE_ONE, lam)
@@ -122,6 +123,23 @@ def gauss_closed_form(spec: GaussIntegralSpec) -> AmplitudeValue:
     magnitude = HalfPower(Fraction(p), Fraction(v2a, 2))  # |2 alpha|_p**(-1/2)
     phase = chi(-beta * beta / (4 * alpha), p)
     return AmplitudeValue(branch, magnitude, phase, lam)
+
+
+def _dyadic_band(a: Fraction, b: Fraction, nu: int) -> AmplitudeValue:
+    """Branch 3: 2^nu times the integral of chi_2(a y^2 + b y) over Z_2, v(a) in {-1, -2}.
+
+    On 2Z_2 the quadratic term is 2-adically integral, and on 1 + 2Z_2 it
+    is a + (integral), so the integral is 2^nu (1 + chi_2(a + b)) / 2 when
+    |2b| <= 1 and 0 otherwise.  chi_2(a + b) is a 4th root of unity.
+    """
+    angle = chi(a + b, 2).angle
+    if padic_norm(2 * b, 2) > 1 or angle == Fraction(1, 2):
+        return AmplitudeValue(3, None, PHASE_ONE, PHASE_ONE)
+    if angle == 0:
+        return AmplitudeValue(3, HalfPower(Fraction(2), Fraction(nu)), PHASE_ONE, PHASE_ONE)
+    # (1 +- i) / 2 = 2^(-1/2) exp(+-2 pi i / 8)
+    phase = UnitPhase(Fraction(1, 8) if angle == Fraction(1, 4) else Fraction(7, 8))
+    return AmplitudeValue(3, HalfPower(Fraction(2), nu - Fraction(1, 2)), phase, PHASE_ONE)
 
 
 def local_constancy_depth(spec: GaussIntegralSpec) -> int:
@@ -147,6 +165,45 @@ def _mod_reduce(x: Fraction, modulus: int) -> int:
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
+class OraclePlan(NamedTuple):
+    """Size of one coset-sum evaluation.
+
+    The angle of the summand is periodic in the sample index j mod
+    ``modulus`` = p^level, and the p^(nu+depth) samples cover that period
+    ``fold`` = p^(nu+depth-level) times.  At p = 2 the samples can cover
+    only half the modulus (fold 1/2, a float); the angle then has period
+    modulus / 2, so the folded sum is still exact.
+    """
+
+    level: int
+    modulus: int
+    depth: int
+    fold: int | float
+
+
+def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan:
+    """Level, modulus, depth and fold of the coset sum at the given depth.
+
+    ``depth`` defaults to the local-constancy depth; a smaller one raises
+    DepthTooSmallError.
+    """
+    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
+    floor = local_constancy_depth(spec)
+    if depth is None:
+        depth = floor
+    if depth < floor:
+        raise DepthTooSmallError(
+            f"depth {depth} below the local-constancy requirement {floor}"
+        )
+    angle_exp = [0]
+    if alpha:
+        angle_exp.append(2 * nu - padic_valuation(alpha, p))
+    if beta:
+        angle_exp.append(nu - padic_valuation(beta, p))
+    level = max(angle_exp)
+    return OraclePlan(level, p**level, depth, p ** (nu + depth - level))
+
+
 def phase_histogram(spec: GaussIntegralSpec, depth: int) -> tuple[int, dict[int, int], Fraction]:
     """Exact multiset of phase angles for the coset sum at the given depth.
 
@@ -157,23 +214,9 @@ def phase_histogram(spec: GaussIntegralSpec, depth: int) -> tuple[int, dict[int,
     by the same power of p.
     """
     p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
-    floor = local_constancy_depth(spec)
-    if depth < floor:
-        raise DepthTooSmallError(
-            f"depth {depth} below the local-constancy requirement {floor}"
-        )
-    samples_exp = nu + depth  # ball splits into p**samples_exp sample cosets
-    angle_exp = [0]
-    if alpha:
-        angle_exp.append(2 * nu - padic_valuation(alpha, p))
-    if beta:
-        angle_exp.append(nu - padic_valuation(beta, p))
-    level = max(angle_exp)
-    modulus = p**level
+    level, modulus, depth, fold = oracle_plan(spec, depth)
     a_red = _mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
     b_red = _mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
-    # depth >= floor guarantees samples_exp >= level
-    fold = p ** (samples_exp - level)
     if modulus <= _VECTOR_LIMIT:
         j = np.arange(modulus, dtype=np.int64)
         k = ((a_red * j) % modulus * j + b_red * j) % modulus
@@ -200,20 +243,14 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     return total * (weight.numerator / weight.denominator)
 
 
-# The unimodular factor depends on alpha only through its square class,
-# i.e. on the parity of the valuation and the unit residue (mod p for odd
-# p, mod 8 for p = 2).  The cache key encodes exactly that.  Concurrent
-# writers at worst duplicate a computation of the same value.
-_LAMBDA_CACHE: dict[tuple[int, int, int], UnitPhase] = {}
-
-
 def lambda_p(alpha: Fraction, p: int) -> UnitPhase:
     """Unimodular factor of the stationary-phase branch, an 8th root of unity.
 
-    Computed operationally: brute-force the pure-quadratic integral over a
-    ball large enough for the stationary-phase branch, then strip the known
-    magnitude |2 alpha|_p**(-1/2) and snap the remaining unit complex
-    number to the nearest exact phase.
+    The closed form of Vladimirov, Volovich and Zelenov.  Write
+    alpha = p^v * u with u a unit.  For odd p the factor is 1 when v is
+    even and otherwise the Legendre symbol (u/p), times i when p = 3 mod 4.
+    For p = 2, with u = 1 + 2 a1 + 4 a2 mod 8, it is exp(+-2 pi i / 8)
+    with the sign (-1)^a1, times (-1)^(a1 + a2) when v is odd.
     """
     _require_prime(p)
     alpha = Fraction(alpha)
@@ -221,19 +258,14 @@ def lambda_p(alpha: Fraction, p: int) -> UnitPhase:
         return PHASE_ONE
     v_alpha = padic_valuation(alpha, p)
     unit = alpha / prime_power(p, v_alpha)
-    key = (p, v_alpha % 2, _mod_reduce(unit, 8 if p == 2 else p))
-    cached = _LAMBDA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    v4a = padic_valuation(4 * alpha, p)
-    spec = GaussIntegralSpec(p, alpha, Fraction(0), v4a // 2 + 1)
-    raw = gauss_brute_force(spec)
-    v2a = padic_valuation(2 * alpha, p)
-    scaled = raw * HalfPower(Fraction(p), Fraction(-v2a, 2)).value()
-    best = min(range(8), key=lambda k: abs(scaled - UnitPhase(Fraction(k, 8)).to_complex()))
-    result = UnitPhase(Fraction(best, 8))
-    drift = abs(scaled - result.to_complex())
-    if drift > 1e-6:
-        raise ArithmeticError(f"phase snap failed: residual {drift:g}")
-    _LAMBDA_CACHE[key] = result
-    return result
+    if p == 2:
+        u = _mod_reduce(unit, 8)
+        a1, a2 = (u >> 1) & 1, (u >> 2) & 1
+        angle = Fraction(-1 if a1 else 1, 8)
+        if v_alpha % 2:
+            angle += Fraction(a1 + a2, 2)
+        return UnitPhase(angle)
+    if v_alpha % 2 == 0:
+        return PHASE_ONE
+    residue = pow(_mod_reduce(unit, p), (p - 1) // 2, p) == 1
+    return UnitPhase(Fraction(0 if residue else 1, 2) + Fraction(p % 4 == 3, 4))

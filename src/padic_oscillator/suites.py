@@ -2,9 +2,7 @@
 
 Each suite draws its cases from a `random.Random(seed)` generator before
 any work starts, so a given (name, seed, cases) triple always produces
-the same report, byte for byte.  Per-case work is pure; with
-PADIC_OSC_THREADS > 1 it runs on a thread pool and is collected back in
-case order, which keeps the output independent of scheduling.
+the same report, byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .adelic import _map_ordered, vacuum_check
+from .adelic import vacuum_check
 from .classical_oscillator import (
     amplitude_residual,
     boundary_action,
@@ -28,7 +26,7 @@ from .classical_oscillator import (
     preset_free,
     solve_amplitude_phase,
 )
-from .errors import CausticError, DivergenceError, IndeterminateBranchError
+from .errors import CausticError
 from .exact_numbers import (
     chi,
     frac_str,
@@ -43,6 +41,7 @@ from .gauss_analysis import (
     gauss_brute_force,
     gauss_closed_form,
     lambda_p,
+    oracle_plan,
 )
 from .propagator import compose_oracle, oscillator_kernel
 
@@ -168,23 +167,6 @@ def suite_lambda(seed: int, cases: Optional[int] = None) -> SuiteResult:
     return _finish("lambda", n, 0, max_dev, failures)
 
 
-def _oracle_cost(spec: GaussIntegralSpec) -> int:
-    """Upper bound on the coset-sum working set for a brute evaluation."""
-    from .exact_numbers import padic_valuation
-
-    p, nu = spec.prime, spec.ball_exponent
-    v_a = padic_valuation(spec.alpha, p)
-    terms = [0, 2 * nu - v_a]
-    if spec.beta:
-        v_b = padic_valuation(spec.beta, p)
-        terms.append(nu - v_b)
-        depth = max(0, -nu, nu - padic_valuation(2 * spec.alpha, p),
-                    -(v_a // 2), -v_b)
-    else:
-        depth = max(0, -nu, nu - padic_valuation(2 * spec.alpha, p), -(v_a // 2))
-    return p ** max(max(terms), nu + depth)
-
-
 def suite_gauss_oracle(seed: int, cases: Optional[int] = None) -> SuiteResult:
     """Closed-form ball integrals against the independent coset sum."""
     n = cases or 500
@@ -200,33 +182,22 @@ def suite_gauss_oracle(seed: int, cases: Optional[int] = None) -> SuiteResult:
             beta = _random_with_valuation(rng, p, -4, 4)
         spec = GaussIntegralSpec(p, alpha, beta, nu)
         # keep the oracle affordable: redraw the rare huge-modulus combos
-        if _oracle_cost(spec) > 1 << 21:
+        plan = oracle_plan(spec)
+        if plan.modulus * plan.fold > 1 << 21:
             continue
         specs.append(spec)
 
-    def one(spec):
-        try:
-            closed = gauss_closed_form(spec).value
-        except IndeterminateBranchError:
-            return None
-        return abs(closed - gauss_brute_force(spec))
-
-    deviations = _map_ordered(one, specs)
     failures = []
-    skipped = 0
     max_dev = 0.0
-    for k, dev in enumerate(deviations):
-        if dev is None:
-            skipped += 1
-            continue
+    for k, spec in enumerate(specs):
+        dev = abs(gauss_closed_form(spec).value - gauss_brute_force(spec))
         max_dev = max(max_dev, dev)
         if dev > 1e-9:
-            s = specs[k]
             failures.append(
-                f"case {k}: deviation {dev:g} at p={s.prime}, "
-                f"alpha={frac_str(s.alpha)}, beta={frac_str(s.beta)}, nu={s.ball_exponent}"
+                f"case {k}: deviation {dev:g} at p={spec.prime}, alpha={frac_str(spec.alpha)}, "
+                f"beta={frac_str(spec.beta)}, nu={spec.ball_exponent}"
             )
-    return _finish("gauss-oracle", n, skipped, max_dev, failures)
+    return _finish("gauss-oracle", n, 0, max_dev, failures)
 
 
 _PARAM_POOL = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
@@ -338,22 +309,18 @@ def suite_composition(seed: int, cases: Optional[int] = None) -> SuiteResult:
         sample_sets.append([(Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
                             for _ in range(3)])
 
-    def one(item):
-        (preset_text, p, t1, t_mid, t2), samples = item
+    failures = []
+    max_dev = 0.0
+    for k, ((preset_text, p, t1, t_mid, t2), samples) in enumerate(zip(grid, sample_sets)):
         model = parse_preset(preset_text, 16)
         late = oscillator_kernel(p, model, t_mid, t2, order=16)
         early = oscillator_kernel(p, model, t1, t_mid, order=16)
         direct = oscillator_kernel(p, model, t1, t2, order=16)
-        return compose_oracle(late, early, direct, samples=samples).max_deviation
-
-    deviations = _map_ordered(one, list(zip(grid, sample_sets)))
-    failures = []
-    max_dev = 0.0
-    for k, dev in enumerate(deviations):
+        dev = compose_oracle(late, early, direct, samples=samples).max_deviation
         max_dev = max(max_dev, dev)
         if dev > 1e-9:
-            failures.append(f"case {k}: composition deviation {dev:g} for {grid[k][0]} "
-                            f"at p={grid[k][1]}")
+            failures.append(f"case {k}: composition deviation {dev:g} for {preset_text} "
+                            f"at p={p}")
     return _finish("composition", len(grid), 0, max_dev, failures)
 
 
@@ -375,20 +342,14 @@ def suite_vacuum(seed: int, cases: Optional[int] = None) -> SuiteResult:
 
     grid = _VACUUM_GRID[: cases or len(_VACUUM_GRID)]
 
-    def one(item):
-        preset_text, p, t2, planck, expected = item
+    failures = []
+    max_dev = 0.0
+    for k, (preset_text, p, t2, planck, expected) in enumerate(grid):
         model = parse_preset(preset_text, 16)
         closed = vacuum_check(p, model, Fraction(0), t2, planck=planck,
                               method="closed-form", order=16)
         brute = vacuum_check(p, model, Fraction(0), t2, planck=planck,
                              method="brute-force", order=16)
-        return closed, brute
-
-    reports = _map_ordered(one, grid)
-    failures = []
-    max_dev = 0.0
-    for k, (closed, brute) in enumerate(reports):
-        preset_text, p, _, _, expected = grid[k]
         tag = f"{preset_text} p={p}"
         if expected:
             max_dev = max(max_dev, brute.max_deviation)

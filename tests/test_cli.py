@@ -42,9 +42,14 @@ def test_gauss_with_oracle_cross_check():
 
 
 def test_gauss_branch_gap_exit_code():
-    proc = run_cli("gauss", "-p", "2", "-a", "1/2", "-b", "0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
+    # the former p = 2 branch gap now exits 0 with the dyadic branch 3
+    result = run_json("gauss", "-p", "2", "-a", "1/2", "-b", "0")["closed"]
+    assert result["branch"] == 3
+    assert result["magnitude"] is None
+    payload = run_json("gauss", "-p", "2", "-a", "1/4", "--oracle-depth", "1")
+    assert payload["closed"]["magnitude"] == {"base": "2/1", "exponent": "-1/2"}
+    assert payload["closed"]["phase_angle"] == "1/8"
+    assert payload["deviation"] < 1e-9
 
 
 def test_gauss_depth_guard_exit_code():
@@ -129,12 +134,19 @@ def test_vacuum_violation_reports_witness():
     assert row["closed"]["witness"] == "0/1"
 
 
-def test_vacuum_dyadic_closed_form_gap_noted():
-    payload = run_json("vacuum", "-p", "2", "--preset", "constant(2)",
-                       "--t1", "0", "--t2", "2")
-    row = payload["reports"][0]
-    assert row["closed"] is None and "note" in row
-    assert row["brute"]["holds"] is True
+def test_vacuum_dyadic_closed_form_agrees_with_brute_force():
+    for t2, holds in (("2", True), ("1", False)):
+        payload = run_json("vacuum", "-p", "2", "--preset", "free",
+                           "--t1", "0", "--t2", t2, "--method", "both")
+        row = payload["reports"][0]
+        assert row["closed"]["holds"] is holds and row["brute"]["holds"] is holds
+        assert row["agree"] is True
+    payload = run_json("vacuum", "-p", "2", "--preset", "free",
+                       "--t1", "0", "--t2", "2", "--method", "closed-form")
+    assert payload["reports"][0]["closed"]["holds"] is True
+    row = run_json("vacuum", "-p", "2", "--preset", "constant(2)",
+                   "--t1", "0", "--t2", "2")["reports"][0]
+    assert row["closed"]["holds"] is True and row["agree"] is True
 
 
 def test_discreteness_json_rows_follow_integrality():

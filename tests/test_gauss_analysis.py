@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oscillator.errors import DepthTooSmallError, IndeterminateBranchError
-from padic_oscillator.exact_numbers import padic_norm
+from padic_oscillator.errors import DepthTooSmallError
+from padic_oscillator.exact_numbers import HalfPower, padic_norm, padic_valuation
 from padic_oscillator.gauss_analysis import (
     AmplitudeValue,
     GaussIntegralSpec,
@@ -18,6 +18,7 @@ from padic_oscillator.gauss_analysis import (
     gauss_closed_form,
     lambda_p,
     local_constancy_depth,
+    oracle_plan,
     phase_histogram,
 )
 
@@ -56,12 +57,25 @@ def test_stationary_branch_vanishes_off_center():
     assert abs(gauss_brute_force(spec)) < 1e-12
 
 
-def test_dyadic_branch_gap_is_reported():
-    for alpha in (Fraction(1, 2), Fraction(1, 4)):
-        with pytest.raises(IndeterminateBranchError):
-            branch_of(GaussIntegralSpec(2, alpha, Fraction(0)))
-        with pytest.raises(IndeterminateBranchError):
-            gauss_closed_form(GaussIntegralSpec(2, alpha, Fraction(1)))
+def test_dyadic_band_matches_coset_sum():
+    # the band v(alpha) in {2 nu - 1, 2 nu - 2} between branches 1 and 2 at p = 2
+    checked = 0
+    for nu in range(-2, 3):
+        for v_alpha in (2 * nu - 1, 2 * nu - 2):
+            for unit in (1, 3, 5, 7):
+                alpha = Fraction(unit) * Fraction(2) ** v_alpha
+                betas = [Fraction(0)] + [Fraction(b_unit) * Fraction(2) ** v_beta
+                                         for v_beta in range(-4, 5) for b_unit in (1, 3, 5, 7)]
+                for beta in betas:
+                    spec = GaussIntegralSpec(2, alpha, beta, nu)
+                    assert branch_of(spec) == 3
+                    closed = gauss_closed_form(spec)
+                    oracle = gauss_brute_force(spec)
+                    assert abs(closed.value - oracle) < 1e-9
+                    assert (closed.magnitude is None) == (abs(oracle) < 1e-9)
+                    assert closed.lambda_factor.angle == 0
+                    checked += 1
+    assert checked == 5 * 2 * 4 * 37
 
 
 def test_odd_primes_have_no_branch_gap():
@@ -85,6 +99,9 @@ def test_histogram_total_mass_counts_every_coset():
     depth = local_constancy_depth(spec)
     modulus, counts, weight = phase_histogram(spec, depth + 1)
     assert sum(counts.values()) == 5 ** (1 + depth + 1)
+    plan = oracle_plan(spec, depth + 1)
+    assert (plan.modulus, plan.depth) == (modulus, depth + 1)
+    assert plan.modulus * plan.fold == sum(counts.values())
     assert weight == Fraction(1, 5 ** (depth + 1))
 
 
@@ -106,12 +123,28 @@ def test_closed_form_matches_coset_sum_on_fixed_grid():
         spec = GaussIntegralSpec(p, alpha, beta, nu)
         if local_constancy_depth(spec) + nu > 9:
             continue
-        try:
-            closed = gauss_closed_form(spec)
-        except IndeterminateBranchError:
-            continue
+        closed = gauss_closed_form(spec)
         assert abs(closed.value - gauss_brute_force(spec)) < 1e-9
         checked += 1
+
+
+def _lambda_by_coset_sum(alpha, p):
+    """Reference lambda_p: the pure-quadratic integral over a ball deep in
+    the stationary-phase branch, normalized by |2 alpha|_p^(1/2)."""
+    nu = padic_valuation(4 * alpha, p) // 2 + 1
+    raw = gauss_brute_force(GaussIntegralSpec(p, alpha, Fraction(0), nu))
+    return raw * HalfPower(Fraction(p), Fraction(-padic_valuation(2 * alpha, p), 2)).value()
+
+
+def test_lambda_matches_normalized_coset_sum():
+    for p in (2, 3, 5, 7, 11, 13):
+        units = (1, 3, 5, 7) if p == 2 else range(1, p)
+        for unit in units:
+            for v in range(-3, 4):
+                # p + 1 is a unit denominator
+                for alpha in (Fraction(unit) * p**v, Fraction(-unit, p + 1) * p**v):
+                    reference = _lambda_by_coset_sum(alpha, p)
+                    assert abs(lambda_p(alpha, p).to_complex() - reference) < 1e-9
 
 
 def test_lambda_is_trivial_at_zero_and_unimodular():
