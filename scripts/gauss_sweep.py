@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         p = rng.choice(primes)
         spec = GaussIntegralSpec(p, draw(rng, p), draw(rng, p), rng.randint(-2, 2))
         plan = oracle_plan(spec)
-        if plan.modulus * plan.fold > 1 << 21:
+        if plan.cosets > 1 << 21:
             continue
         done += 1
         dev = abs(gauss_closed_form(spec).value - gauss_brute_force(spec))

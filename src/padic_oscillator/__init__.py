@@ -86,7 +86,6 @@ from .gauss_analysis import (
     lambda_p,
     local_constancy_depth,
     oracle_plan,
-    phase_histogram,
 )
 from .propagator import (
     REAL_PLACE,

@@ -10,18 +10,16 @@ chi_p(alpha*x^2 + beta*x) dx two ways:
   kept as the oracle for the closed form.
 
 Haar measure is normalized so the unit ball has measure 1.  The brute
-force sum collects exact rational angles (denominator a power of p)
-into a histogram and converts to floating point once, at the end.
+force sum reduces every phase to an exact integer k mod M = p^level and
+adds exp(2 pi i k / M) over the sample cosets in fixed-size numpy
+blocks; numpy is imported on first use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DepthTooSmallError
 from .exact_numbers import (
@@ -37,9 +35,8 @@ from .exact_numbers import (
     prime_power,
 )
 
-# Above this modulus the vectorized histogram would need too much memory;
-# fall back to a plain python loop.
-_VECTOR_LIMIT = 1 << 21
+# Cosets summed per numpy block, which bounds the oracle's memory.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -168,21 +165,21 @@ def _mod_reduce(x: Fraction, modulus: int) -> int:
 class OraclePlan(NamedTuple):
     """Size of one coset-sum evaluation.
 
-    The angle of the summand is periodic in the sample index j mod
-    ``modulus`` = p^level, and the p^(nu+depth) samples cover that period
-    ``fold`` = p^(nu+depth-level) times.  At p = 2 the samples can cover
-    only half the modulus (fold 1/2, a float); the angle then has period
-    modulus / 2, so the folded sum is still exact.
+    The sum runs over ``cosets`` = p^(nu+depth) samples x_j = j p^(-nu).
+    The angle of the summand is an integer mod ``modulus`` = p^level and
+    is periodic in j with a period dividing the modulus, so when there
+    are more cosets than the modulus the sum over one period is exact
+    after multiplying by cosets // modulus.
     """
 
     level: int
     modulus: int
     depth: int
-    fold: int | float
+    cosets: int
 
 
 def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan:
-    """Level, modulus, depth and fold of the coset sum at the given depth.
+    """Level, modulus, depth and coset count of the coset sum at the given depth.
 
     ``depth`` defaults to the local-constancy depth; a smaller one raises
     DepthTooSmallError.
@@ -201,46 +198,32 @@ def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan
     if beta:
         angle_exp.append(nu - padic_valuation(beta, p))
     level = max(angle_exp)
-    return OraclePlan(level, p**level, depth, p ** (nu + depth - level))
-
-
-def phase_histogram(spec: GaussIntegralSpec, depth: int) -> tuple[int, dict[int, int], Fraction]:
-    """Exact multiset of phase angles for the coset sum at the given depth.
-
-    Returns (modulus M, counts {k: multiplicity}, weight) such that the
-    integral equals weight * sum_k counts[k] * exp(2 pi i k / M).  The sum
-    over all p^(nu+depth) sample cosets x_j = j * p^(-nu) is folded by the
-    exact periodicity of the angle in j mod M, which multiplies every count
-    by the same power of p.
-    """
-    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
-    level, modulus, depth, fold = oracle_plan(spec, depth)
-    a_red = _mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
-    b_red = _mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
-    if modulus <= _VECTOR_LIMIT:
-        j = np.arange(modulus, dtype=np.int64)
-        k = ((a_red * j) % modulus * j + b_red * j) % modulus
-        raw = np.bincount(k, minlength=modulus)
-        counts = {int(key): int(raw[key]) * fold for key in np.nonzero(raw)[0]}
-    else:
-        counts = {}
-        for j in range(modulus):
-            k = ((a_red * j) % modulus * j + b_red * j) % modulus
-            counts[k] = counts.get(k, 0) + fold
-    weight = prime_power(p, -depth)
-    return modulus, counts, weight
+    return OraclePlan(level, p**level, depth, p ** (nu + depth))
 
 
 def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> complex:
-    """Coset-sum value of the integral; exact up to one final float rendering."""
-    if depth is None:
-        depth = local_constancy_depth(spec)
-    modulus, counts, weight = phase_histogram(spec, depth)
+    """Coset-sum value of the integral: p^(-depth) sum_j exp(2 pi i k_j / M).
+
+    k_j = (a j + b) j mod M with a, b the exact residues of alpha and beta,
+    summed over j < min(cosets, M) in blocks of _BLOCK and multiplied by
+    the integer fold cosets // min(cosets, M).  Products stay below M^2,
+    so a modulus above 2^31 (int64 overflow) raises ValueError.
+    """
+    import numpy as np
+
+    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
+    level, modulus, depth, cosets = oracle_plan(spec, depth)
+    if modulus > 1 << 31:
+        raise ValueError(f"oracle modulus {p}^{level} is above 2^31")
+    a_red = _mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
+    b_red = _mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
+    count = min(cosets, modulus)
     total = 0j
-    for k, count in counts.items():
-        theta = 2.0 * math.pi * k / modulus
-        total += count * complex(math.cos(theta), math.sin(theta))
-    return total * (weight.numerator / weight.denominator)
+    for start in range(0, count, _BLOCK):
+        j = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
+        k = (a_red * j + b_red) % modulus * j % modulus
+        total += complex(np.exp(2j * np.pi / modulus * k).sum())
+    return total * (cosets // count / p**depth)
 
 
 def lambda_p(alpha: Fraction, p: int) -> UnitPhase:

@@ -183,7 +183,7 @@ def suite_gauss_oracle(seed: int, cases: Optional[int] = None) -> SuiteResult:
         spec = GaussIntegralSpec(p, alpha, beta, nu)
         # keep the oracle affordable: redraw the rare huge-modulus combos
         plan = oracle_plan(spec)
-        if plan.modulus * plan.fold > 1 << 21:
+        if plan.cosets > 1 << 21:
             continue
         specs.append(spec)
 

@@ -57,6 +57,20 @@ def test_gauss_depth_guard_exit_code():
     assert proc.returncode == 3
 
 
+def test_gauss_oracle_modulus_above_two_to_the_31_is_a_usage_error():
+    # int64 products would overflow; fail before any work instead
+    proc = subprocess.run(BASE + ["gauss", "-p", "2", "-a", "1/1099511627776",
+                                  "--oracle-depth", "39"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 64
+    assert "2^40" in proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import padic_oscillator.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_malformed_rational_is_a_usage_error():
     proc = run_cli("gauss", "-p", "3", "-a", "0.5")
     assert proc.returncode == 64

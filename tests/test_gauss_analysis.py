@@ -19,7 +19,6 @@ from padic_oscillator.gauss_analysis import (
     lambda_p,
     local_constancy_depth,
     oracle_plan,
-    phase_histogram,
 )
 
 
@@ -88,21 +87,55 @@ def test_histogram_depth_guard():
     spec = GaussIntegralSpec(3, Fraction(1, 9), Fraction(0))
     assert local_constancy_depth(spec) == 2
     with pytest.raises(DepthTooSmallError):
-        phase_histogram(spec, 1)
-    modulus, counts, weight = phase_histogram(spec, 2)
-    assert modulus == 9 and weight == Fraction(1, 9)
-    assert sum(counts.values()) == 9
+        oracle_plan(spec, 1)
+    with pytest.raises(DepthTooSmallError):
+        gauss_brute_force(spec, 1)
+    plan = oracle_plan(spec, 2)
+    assert (plan.modulus, plan.depth, plan.cosets) == (9, 2, 9)
+    # 9 cosets of weight 1/9: a unit-ball sum of unimodular terms
+    assert abs(gauss_brute_force(spec, 2) - gauss_closed_form(spec).value) < 1e-12
 
 
 def test_histogram_total_mass_counts_every_coset():
     spec = GaussIntegralSpec(5, Fraction(2, 5), Fraction(3), ball_exponent=1)
     depth = local_constancy_depth(spec)
-    modulus, counts, weight = phase_histogram(spec, depth + 1)
-    assert sum(counts.values()) == 5 ** (1 + depth + 1)
     plan = oracle_plan(spec, depth + 1)
-    assert (plan.modulus, plan.depth) == (modulus, depth + 1)
-    assert plan.modulus * plan.fold == sum(counts.values())
-    assert weight == Fraction(1, 5 ** (depth + 1))
+    assert plan.depth == depth + 1
+    assert plan.cosets == 5 ** (1 + depth + 1)
+    assert plan.cosets % plan.modulus == 0
+    # total mass: with alpha = beta = 0 every one of the p^(nu+depth)
+    # cosets adds exp(0) = 1 at weight p^(-depth), giving the ball measure
+    flat = GaussIntegralSpec(5, Fraction(0), Fraction(0), ball_exponent=1)
+    assert oracle_plan(flat, depth + 1).cosets == plan.cosets
+    assert abs(gauss_brute_force(flat, depth + 1) - 5) < 1e-12
+
+
+@pytest.mark.parametrize("p, alpha, beta", [
+    (3, Fraction(2, 3**14), Fraction(0)),
+    (2, Fraction(3, 2**22), Fraction(5, 2**7)),
+])
+def test_moduli_above_two_to_the_21_match_closed_form(p, alpha, beta):
+    spec = GaussIntegralSpec(p, alpha, beta)
+    assert oracle_plan(spec).modulus > 1 << 21
+    assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
+
+
+def test_oracle_plan_is_integral_when_cosets_are_half_the_modulus():
+    # p = 2, alpha = 1/8: nu + depth = level - 1, so the samples cover
+    # only half the modulus; the sum then runs over exactly those cosets
+    p, nu = 2, 0
+    spec = GaussIntegralSpec(p, Fraction(1, 8), Fraction(0), nu)
+    plan = oracle_plan(spec)
+    assert all(type(field) is int for field in plan)
+    assert plan.cosets == p ** (nu + plan.depth)
+    assert 2 * plan.cosets == plan.modulus
+    assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
+
+
+def test_oracle_modulus_above_two_to_the_31_fails_fast():
+    spec = GaussIntegralSpec(2, Fraction(1, 2**40), Fraction(0))
+    with pytest.raises(ValueError, match=r"2\^40"):
+        gauss_brute_force(spec)
 
 
 def test_deeper_sampling_does_not_move_the_value():
