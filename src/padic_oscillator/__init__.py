@@ -56,6 +56,7 @@ from .errors import (
     DepthTooSmallError,
     DivergenceError,
     NormalizationError,
+    OracleBudgetError,
     PadicOscillatorError,
     PrecisionError,
     PrimeCutoffError,

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import CausticError, DivergenceError
 from .exact_numbers import padic_norm, padic_valuation, parse_rational
-from .series import RationalSeries, binomial_series, cos_series, sin_series
+from .series import RationalSeries, binomial_series
 
 DEFAULT_ORDER = 24
 
@@ -151,7 +151,8 @@ def solve_amplitude_phase(model: OscillatorModel, order: int = DEFAULT_ORDER) ->
     linearly (through G_0^3 * G''), so each coefficient is solved for
     exactly in one division.  All produced coefficients are the true
     Taylor coefficients of the solution — there is no truncation error
-    inside the retained orders.
+    inside the retained orders.  cos/sin gamma solve C' = -gamma' S, S' = gamma' C
+    in O(order^2) steps, giving exactly cos/sin composed with the truncated phase.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -159,20 +160,14 @@ def solve_amplitude_phase(model: OscillatorModel, order: int = DEFAULT_ORDER) ->
         raise ValueError("frequency-squared series too short for the requested order")
     w2 = model.freq_sq.coeffs
     g: list[Fraction] = [model.amp0, model.amp_vel0]
-    square: list[Fraction] = []
+    square: list[Fraction] = [g[0] * g[0]]
     cube: list[Fraction] = []
     quartic: list[Fraction] = []
     wronskian_sq = model.wronskian * model.wronskian
     for n in range(order - 1):
-        while len(square) <= n + 1:
-            k = len(square)
-            square.append(sum(g[i] * g[k - i] for i in range(k + 1)))
-        while len(cube) <= n:
-            k = len(cube)
-            cube.append(sum(square[i] * g[k - i] for i in range(k + 1)))
-        while len(quartic) <= n:
-            k = len(quartic)
-            quartic.append(sum(square[i] * square[k - i] for i in range(k + 1)))
+        square.append(sum(g[i] * g[n + 1 - i] for i in range(n + 2)))
+        cube.append(sum(square[i] * g[n - i] for i in range(n + 1)))
+        quartic.append(sum(square[i] * square[n - i] for i in range(n + 1)))
         forcing = sum(w2[k] * quartic[n - k] for k in range(n + 1))
         inertia = sum(
             cube[k] * (n - k + 2) * (n - k + 1) * g[n - k + 2] for k in range(1, n + 1)
@@ -183,14 +178,20 @@ def solve_amplitude_phase(model: OscillatorModel, order: int = DEFAULT_ORDER) ->
     amp_vel = amp.differentiate()
     phase_vel = model.wronskian / (amp * amp)
     phase = phase_vel.integrate().truncate(order)
+    # nonzero gamma' coefficients; k = 0 (W / G_0^2) is one, so no sum below is empty
+    rate = [(k, r) for k, r in enumerate(phase.differentiate().coeffs) if r]
+    cos_c, sin_c = [Fraction(1)], [Fraction(0)]
+    for n in range(1, order + 1):
+        cos_c.append(-sum(r * sin_c[n - 1 - k] for k, r in rate if k < n) / n)
+        sin_c.append(sum(r * cos_c[n - 1 - k] for k, r in rate if k < n) / n)
     return AmplitudePhase(
         model=model,
         amp=amp,
         phase=phase,
         amp_vel=amp_vel,
         phase_vel=phase_vel,
-        cos_phase=cos_series(order).compose(phase),
-        sin_phase=sin_series(order).compose(phase),
+        cos_phase=RationalSeries(tuple(cos_c)),
+        sin_phase=RationalSeries(tuple(sin_c)),
     )
 
 

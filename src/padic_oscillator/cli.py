@@ -7,8 +7,8 @@ both directions — no floating-point input on exact paths.
 
 Exit codes: 0 success; 1 suite failure; 3 oracle depth too small;
 4 caustic endpoints; 5 divergent series evaluation; 6 unstable phase
-precision; 7 prime cutoff too small; 8 non-normalized factor; 64 usage
-errors.
+precision; 7 prime cutoff too small; 8 non-normalized factor; 9 oracle
+sample count above its budget; 64 usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from .errors import (
     DepthTooSmallError,
     DivergenceError,
     NormalizationError,
+    OracleBudgetError,
     PrecisionError,
     PrimeCutoffError,
 )
@@ -66,6 +68,7 @@ _EXIT_BY_TYPE = {
     PrecisionError: 6,
     PrimeCutoffError: 7,
     NormalizationError: 8,
+    OracleBudgetError: 9,
 }
 
 
@@ -380,13 +383,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away: silence stdout, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except tuple(_EXIT_BY_TYPE) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cls in type(exc).__mro__:
-            if cls in _EXIT_BY_TYPE:
-                return _EXIT_BY_TYPE[cls]
-        return 1  # unreachable; the except clause already matched
+        return next(code for cls, code in _EXIT_BY_TYPE.items() if isinstance(exc, cls))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

@@ -12,6 +12,10 @@ class DepthTooSmallError(PadicOscillatorError):
     """A brute-force coset sum was requested below its exactness depth."""
 
 
+class OracleBudgetError(PadicOscillatorError):
+    """A brute-force coset sum would take more samples than its budget."""
+
+
 class CausticError(PadicOscillatorError):
     """The two endpoints are conjugate: sin of the phase difference vanishes."""
 

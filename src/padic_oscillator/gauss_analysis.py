@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DepthTooSmallError
+from .errors import DepthTooSmallError, OracleBudgetError
 from .exact_numbers import (
     PHASE_ONE,
     HalfPower,
@@ -37,6 +37,7 @@ from .exact_numbers import (
 
 # Cosets summed per numpy block, which bounds the oracle's memory.
 _BLOCK = 1 << 18
+_BUDGET = 1 << 26  # most samples one oracle call may sum (about 5 s)
 
 
 @dataclass(frozen=True)
@@ -207,17 +208,20 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     k_j = (a j + b) j mod M with a, b the exact residues of alpha and beta,
     summed over j < min(cosets, M) in blocks of _BLOCK and multiplied by
     the integer fold cosets // min(cosets, M).  Products stay below M^2,
-    so a modulus above 2^31 (int64 overflow) raises ValueError.
+    so a modulus above 2^31 (int64 overflow) raises ValueError, and more
+    than _BUDGET samples raise OracleBudgetError, both before any work.
     """
-    import numpy as np
-
     p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
     level, modulus, depth, cosets = oracle_plan(spec, depth)
     if modulus > 1 << 31:
         raise ValueError(f"oracle modulus {p}^{level} is above 2^31")
+    count = min(cosets, modulus)
+    if count > _BUDGET:
+        raise OracleBudgetError(f"oracle needs {count} samples, above the budget of 2^26")
+
+    import numpy as np
     a_red = _mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
     b_red = _mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
-    count = min(cosets, modulus)
     total = 0j
     for start in range(0, count, _BLOCK):
         j = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)

@@ -29,7 +29,7 @@ from padic_oscillator.classical_oscillator import (
     trajectory_residual,
 )
 from padic_oscillator.errors import CausticError, DivergenceError
-from padic_oscillator.series import RationalSeries, binomial_series
+from padic_oscillator.series import RationalSeries, binomial_series, cos_series, sin_series
 
 F = Fraction
 
@@ -209,3 +209,23 @@ def test_inline_polynomial_frequency_square():
     ap = _solve(model, order=12)
     res = amplitude_residual(ap)
     assert res.is_zero_through(res.order)
+
+
+_COS_SIN_MODELS = ("example1(2/3,1)", "example2(1,2)", "constant(3/2)", "free", "omega")
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [(name, order) for order in (24, 48) for name in _COS_SIN_MODELS] + [("example2(1,2)", 96)],
+)
+def test_cos_sin_recurrence_equals_series_composition(name, order):
+    # the coupled recurrence must reproduce cos/sin composed with the phase exactly
+    if name == "omega":
+        model = model_from_omega_coeffs([1, F(1, 2), -2], order=order)
+    else:
+        model = parse_preset(name, order)
+    ap = solve_amplitude_phase(model, order=order)
+    assert ap.cos_phase.coeffs == cos_series(order).compose(ap.phase).coeffs
+    assert ap.sin_phase.coeffs == sin_series(order).compose(ap.phase).coeffs
+    unit = ap.cos_phase * ap.cos_phase + ap.sin_phase * ap.sin_phase
+    assert unit.coeffs == RationalSeries.constant(1, order).coeffs

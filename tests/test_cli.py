@@ -66,6 +66,23 @@ def test_gauss_oracle_modulus_above_two_to_the_31_is_a_usage_error():
     assert "2^40" in proc.stderr
 
 
+def test_gauss_oracle_above_sample_budget_exits_nine():
+    proc = subprocess.run(BASE + ["gauss", "-p", "2", "-a", "1/2147483648",
+                                  "--oracle-depth", "30"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 9
+    assert "budget" in proc.stderr
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    proc = subprocess.Popen(BASE + ["gauss", "-p", "3", "-a", "1/3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the child is still importing, so it has written nothing yet
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+
+
 def test_cli_import_does_not_load_numpy():
     code = "import padic_oscillator.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oscillator.errors import DepthTooSmallError
+from padic_oscillator.errors import DepthTooSmallError, OracleBudgetError
 from padic_oscillator.exact_numbers import HalfPower, padic_norm, padic_valuation
 from padic_oscillator.gauss_analysis import (
     AmplitudeValue,
@@ -136,6 +136,15 @@ def test_oracle_modulus_above_two_to_the_31_fails_fast():
     spec = GaussIntegralSpec(2, Fraction(1, 2**40), Fraction(0))
     with pytest.raises(ValueError, match=r"2\^40"):
         gauss_brute_force(spec)
+
+
+def test_oracle_sample_count_above_budget_fails_fast():
+    # 2^30 samples fit int64 but would run for over a minute
+    spec = GaussIntegralSpec(2, Fraction(1, 2**31), Fraction(0))
+    plan = oracle_plan(spec, depth=30)
+    assert min(plan.cosets, plan.modulus) == 2**30
+    with pytest.raises(OracleBudgetError, match=r"1073741824 samples"):
+        gauss_brute_force(spec, depth=30)
 
 
 def test_deeper_sampling_does_not_move_the_value():
