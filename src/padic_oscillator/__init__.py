@@ -95,7 +95,9 @@ from .propagator import (
     QuadraticKernel,
     compose_oracle,
     evaluate_kernel,
+    kernel_at,
     kernel_from_action,
+    kernel_solution,
     lambda_real,
     oscillator_kernel,
     phase_doubling_check,

@@ -24,7 +24,6 @@ from .classical_oscillator import (
     DEFAULT_ORDER,
     OscillatorModel,
     endpoint_data,
-    solve_amplitude_phase,
 )
 from .errors import (
     NormalizationError,
@@ -56,8 +55,9 @@ from .propagator import (
     KernelValue,
     _is_free,
     evaluate_kernel,
+    kernel_at,
     kernel_from_action,
-    oscillator_kernel,
+    kernel_solution,
 )
 
 
@@ -350,7 +350,7 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
         raise ValueError(f"unknown vacuum method {method!r}")
     planck = Fraction(planck)
     free = _is_free(model)
-    ap = solve_amplitude_phase(model, min(order, model.freq_sq.order + 2))
+    ap = kernel_solution(model, order)
     ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=() if free else (p,))
     kernel = kernel_from_action(p, ap, ep, planck=planck)
     a_out, b_cross, d_in = kernel.coef_out, kernel.coef_cross, kernel.coef_in
@@ -447,7 +447,7 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
             f"p={p}: kernel does not preserve the unit-ball indicator "
             f"(witness x''={frac_str(report.witness)})"
         )
-    ap = solve_amplitude_phase(model, min(order, model.freq_sq.order + 2))
+    ap = kernel_solution(model, order)
     ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=())
     phase_jump = ep.phase2 - ep.phase1
     alpha_fraction = fractional_part(alpha * phase_jump, p)
@@ -538,11 +538,11 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
     ordered = _ordered_places(places)
     x_out = Fraction(x_out)
     x_in = Fraction(x_in)
+    ap = kernel_solution(model, order) if ordered else None
 
     def one_place(place):
         try:
-            kernel = oscillator_kernel(place, model, t_prime, t_dprime,
-                                       planck=planck, order=order)
+            kernel = kernel_at(place, ap, t_prime, t_dprime, planck=planck)
             return evaluate_kernel(kernel, x_out, x_in)
         except PadicOscillatorError as exc:
             raise type(exc)(f"[place {place}] {exc}") from exc

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import CausticError, DivergenceError
 from .exact_numbers import padic_norm, padic_valuation, parse_rational
-from .series import RationalSeries, binomial_series
+from .series import RationalSeries, binomial_series, numerators_over_lcm
 
 DEFAULT_ORDER = 24
 
@@ -143,6 +143,27 @@ class AmplitudePhase:
         return self.amp.order
 
 
+def _dot(left, right) -> int:
+    return sum(map(int.__mul__, left, right))
+
+
+def _over_common(num: int, den: int, common: int) -> tuple[int, int, int]:
+    """Put num/den over a common denominator that may have to grow.
+
+    num/den is reduced with one gcd; the common denominator becomes
+    lcm(common, den).  Returns the numerator over the new common
+    denominator, that denominator, and the factor by which it grew, by
+    which every earlier numerator kept over it must be rescaled.
+    """
+    gcd = math.gcd(num, den)
+    num, den = num // gcd, den // gcd
+    if den < 0:
+        num, den = -num, -den
+    grow = den // math.gcd(common, den)
+    common *= grow
+    return num * (common // den), common, grow
+
+
 def solve_amplitude_phase(model: OscillatorModel, order: int = DEFAULT_ORDER) -> AmplitudePhase:
     """Coefficient recurrence for G, then gamma by integrating W/G^2.
 
@@ -151,47 +172,81 @@ def solve_amplitude_phase(model: OscillatorModel, order: int = DEFAULT_ORDER) ->
     linearly (through G_0^3 * G''), so each coefficient is solved for
     exactly in one division.  All produced coefficients are the true
     Taylor coefficients of the solution — there is no truncation error
-    inside the retained orders.  cos/sin gamma solve C' = -gamma' S, S' = gamma' C
-    in O(order^2) steps, giving exactly cos/sin composed with the truncated phase.
+    inside the retained orders.  gamma' = W/G^2 is one series division,
+    and cos/sin gamma solve C' = -gamma' S, S' = gamma' C in O(order^2)
+    steps, giving exactly cos/sin composed with the truncated phase.
+
+    The recurrences run on integer numerators: each sequence (G with G^2,
+    G^3 and G^4; gamma'; cos and sin together) keeps one common
+    denominator, the lcm of its reduced coefficient denominators, and
+    rescales its numerators when that grows.  The Fractions are built
+    once at the end and are the same reduced Fractions a Fraction
+    recurrence gives.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     if model.freq_sq.order < order - 2:
         raise ValueError("frequency-squared series too short for the requested order")
-    w2 = model.freq_sq.coeffs
-    g: list[Fraction] = [model.amp0, model.amp_vel0]
-    square: list[Fraction] = [g[0] * g[0]]
-    cube: list[Fraction] = []
-    quartic: list[Fraction] = []
-    wronskian_sq = model.wronskian * model.wronskian
+    w2_num, w2_den = numerators_over_lcm(model.freq_sq.coeffs[: order - 1])
+    w_sq = model.wronskian * model.wronskian
+    # G_k = g[k] / den, and G^2, G^3, G^4 over den^2, den^3, den^4
+    g, den = numerators_over_lcm((model.amp0, model.amp_vel0))
+    curv = [0, 0]  # k (k - 1) g[k]: the numerators of G'' shifted by two places
+    square = [g[0] * g[0]]
+    cube: list[int] = []
+    quartic: list[int] = []
     for n in range(order - 1):
-        square.append(sum(g[i] * g[n + 1 - i] for i in range(n + 2)))
-        cube.append(sum(square[i] * g[n - i] for i in range(n + 1)))
-        quartic.append(sum(square[i] * square[n - i] for i in range(n + 1)))
-        forcing = sum(w2[k] * quartic[n - k] for k in range(n + 1))
-        inertia = sum(
-            cube[k] * (n - k + 2) * (n - k + 1) * g[n - k + 2] for k in range(1, n + 1)
-        )
-        rhs = (wronskian_sq if n == 0 else Fraction(0)) - forcing - inertia
-        g.append(rhs / (cube[0] * (n + 2) * (n + 1)))
-    amp = RationalSeries(tuple(g))
-    amp_vel = amp.differentiate()
-    phase_vel = model.wronskian / (amp * amp)
-    phase = phase_vel.integrate().truncate(order)
-    # nonzero gamma' coefficients; k = 0 (W / G_0^2) is one, so no sum below is empty
-    rate = [(k, r) for k, r in enumerate(phase.differentiate().coeffs) if r]
-    cos_c, sin_c = [Fraction(1)], [Fraction(0)]
+        square.append(_dot(g, g[n + 1 :: -1]))
+        cube.append(_dot(square, g[n::-1]))
+        quartic.append(_dot(square[: n + 1], square[n::-1]))
+        forcing = _dot(w2_num, quartic[::-1])
+        inertia = _dot(cube[1:], curv[n + 1 : 1 : -1])
+        # G_(n+2) = (W^2 [n = 0] - forcing - inertia) / (G_0^3 (n+2)(n+1)), over integers
+        num = -w_sq.denominator * (forcing + w2_den * inertia)
+        if n == 0:
+            num += w_sq.numerator * w2_den * den**4
+        scale = w_sq.denominator * w2_den * den * cube[0] * (n + 2) * (n + 1)
+        coeff, den, grow = _over_common(num, scale, den)
+        if grow > 1:
+            grow2 = grow * grow
+            g = [grow * x for x in g]
+            curv = [grow * x for x in curv]
+            square = [grow2 * x for x in square]
+            cube = [grow2 * grow * x for x in cube]
+            quartic = [grow2 * grow2 * x for x in quartic]
+        g.append(coeff)
+        curv.append((n + 2) * (n + 1) * coeff)
+    square.append(_dot(g, g[::-1]))
+    # gamma'_k = rate[k] / rate_den from gamma' G^2 = W; the den^2 of G^2 cancels
+    w = model.wronskian
+    first, rate_den, _ = _over_common(w.numerator * den * den, w.denominator * square[0], 1)
+    rate = [first]
+    for k in range(1, order + 1):
+        coeff, rate_den, grow = _over_common(
+            -_dot(rate, square[k:0:-1]), rate_den * square[0], rate_den)
+        if grow > 1:
+            rate = [grow * x for x in rate]
+        rate.append(coeff)
+    # cos_k = cos_n[k] / trig_den and sin_k = sin_n[k] / trig_den, from
+    # n C_n = -sum gamma'_k S_(n-1-k) and n S_n = sum gamma'_k C_(n-1-k)
+    cos_n, sin_n, trig_den = [1], [0], 1
     for n in range(1, order + 1):
-        cos_c.append(-sum(r * sin_c[n - 1 - k] for k, r in rate if k < n) / n)
-        sin_c.append(sum(r * cos_c[n - 1 - k] for k, r in rate if k < n) / n)
+        for sign, into, other in ((-1, cos_n, sin_n), (1, sin_n, cos_n)):
+            coeff, trig_den, grow = _over_common(
+                sign * _dot(rate[:n], other[n - 1 :: -1]), rate_den * trig_den * n, trig_den)
+            if grow > 1:
+                cos_n[:] = [grow * x for x in cos_n]
+                sin_n[:] = [grow * x for x in sin_n]
+            into.append(coeff)
     return AmplitudePhase(
         model=model,
-        amp=amp,
-        phase=phase,
-        amp_vel=amp_vel,
-        phase_vel=phase_vel,
-        cos_phase=RationalSeries(tuple(cos_c)),
-        sin_phase=RationalSeries(tuple(sin_c)),
+        amp=RationalSeries(tuple(Fraction(x, den) for x in g)),
+        phase=RationalSeries((Fraction(0),) + tuple(
+            Fraction(x, rate_den * (k + 1)) for k, x in enumerate(rate[:order]))),
+        amp_vel=RationalSeries(tuple(Fraction(k * g[k], den) for k in range(1, order + 1))),
+        phase_vel=RationalSeries(tuple(Fraction(x, rate_den) for x in rate)),
+        cos_phase=RationalSeries(tuple(Fraction(x, trig_den) for x in cos_n)),
+        sin_phase=RationalSeries(tuple(Fraction(x, trig_den) for x in sin_n)),
     )
 
 

@@ -53,8 +53,8 @@ from .propagator import (
     REAL_PLACE,
     compose_oracle,
     evaluate_kernel,
-    kernel_from_action,
-    oscillator_kernel,
+    kernel_at,
+    kernel_solution,
     phase_doubling_check,
 )
 from .suites import SUITE_ORDER, run_all, run_suite
@@ -166,8 +166,9 @@ def cmd_propagator(args) -> int:
     place = _parse_place(args.place)
     model = _build_model(args, order)
     planck = parse_rational(args.planck)
-    kernel = oscillator_kernel(place, model, parse_rational(args.t1),
-                               parse_rational(args.t2), planck=planck, order=order)
+    t1, t2 = parse_rational(args.t1), parse_rational(args.t2)
+    ap = kernel_solution(model, order)
+    kernel = kernel_at(place, ap, t1, t2, planck=planck)
     x_in = parse_rational(args.x1)
     x_out = parse_rational(args.x2)
     value = evaluate_kernel(kernel, x_out, x_in)
@@ -190,10 +191,8 @@ def cmd_propagator(args) -> int:
             raise ValueError("--compose needs a p-adic place (the middle "
                              "integral oracle works over Z_p balls)")
         t_mid = parse_rational(args.compose)
-        late = oscillator_kernel(place, model, t_mid, parse_rational(args.t2),
-                                 planck=planck, order=order)
-        early = oscillator_kernel(place, model, parse_rational(args.t1), t_mid,
-                                  planck=planck, order=order)
+        late = kernel_at(place, ap, t_mid, t2, planck=planck)
+        early = kernel_at(place, ap, t1, t_mid, planck=planck)
         report = compose_oracle(late, early, kernel)
         payload["compose"] = {
             "prime": report.prime,
@@ -203,10 +202,8 @@ def cmd_propagator(args) -> int:
             "max_deviation": report.max_deviation,
         }
     if args.stability_check:
-        angles = phase_doubling_check(lambda o: _build_model(args, o),
-                                      parse_rational(args.t1), parse_rational(args.t2),
-                                      x_in, x_out, places=(place,),
-                                      planck=planck, order=order)
+        angles = phase_doubling_check(lambda o: _build_model(args, o), t1, t2, x_in, x_out,
+                                      places=(place,), planck=planck, order=order)
         payload["stability"] = {
             str(key): float(value) if key == REAL_PLACE else frac_str(value)
             for key, value in angles.items()

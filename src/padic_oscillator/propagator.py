@@ -149,13 +149,25 @@ def kernel_from_action(place, ap: AmplitudePhase, ep: EndpointData,
     return QuadraticKernel(place, coef_out, coef_cross, coef_in, mass, planck)
 
 
+def kernel_solution(model: OscillatorModel, order: int = DEFAULT_ORDER) -> AmplitudePhase:
+    """Solve the model for kernels: at ``order``, capped at two past the order of omega^2."""
+    return solve_amplitude_phase(model, min(order, model.freq_sq.order + 2))
+
+
+def kernel_at(place, ap: AmplitudePhase, t_prime, t_dprime, planck=1) -> QuadraticKernel:
+    """The kernel over [t', t''] at one place from one solve, certified at that place.
+
+    One ``kernel_solution`` serves every place and time window of a model.
+    """
+    primes = () if _is_free(ap.model) or place == REAL_PLACE else (place,)
+    ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
+    return kernel_from_action(place, ap, ep, planck=planck)
+
+
 def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
                       planck=1, order: int = DEFAULT_ORDER) -> QuadraticKernel:
     """Convenience: solve the model and build the kernel over [t', t'']."""
-    ap = solve_amplitude_phase(model, min(order, model.freq_sq.order + 2))
-    primes = () if _is_free(model) or place == REAL_PLACE else (place,)
-    ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
-    return kernel_from_action(place, ap, ep, planck=planck)
+    return kernel_at(place, kernel_solution(model, order), t_prime, t_dprime, planck)
 
 
 def evaluate_kernel(kernel: QuadraticKernel, x_out, x_in) -> KernelValue:

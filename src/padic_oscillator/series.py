@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -19,6 +19,13 @@ Scalar = Union[Fraction, int]
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def numerators_over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values' integer numerators over L, the lcm of their denominators, and L."""
+    values = list(values)
+    common = lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 @dataclass(frozen=True)
@@ -186,12 +193,21 @@ class RationalSeries:
         return RationalSeries(tuple(out), self.var)
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Exact partial-sum evaluation (Horner)."""
+        """Exact partial-sum evaluation by Horner's rule on integers.
+
+        With t = a/b, coefficients N_k/d_k and L = lcm(d_k), the sum is
+        sum_k N_k (L/d_k) a^k b^(n-k) / (L b^n): the loop multiplies and
+        adds integer numerators only, and the one Fraction built at the
+        end is the same reduced value a Fraction Horner gives.
+        """
         t = _frac(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        a, b = t.numerator, t.denominator
+        nums, common = numerators_over_lcm(self.coeffs)
+        acc, power = 0, 1
+        for num in reversed(nums):
+            acc = acc * a + num * power
+            power *= b
+        return Fraction(acc, common * b**self.order)
 
     def __str__(self) -> str:
         terms = [f"({c}){self.var}^{k}" for k, c in enumerate(self.coeffs) if c]

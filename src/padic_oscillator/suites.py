@@ -43,7 +43,7 @@ from .gauss_analysis import (
     lambda_p,
     oracle_plan,
 )
-from .propagator import compose_oracle, oscillator_kernel
+from .propagator import compose_oracle, kernel_at, kernel_solution
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,10 @@ def suite_composition(seed: int, cases: Optional[int] = None) -> SuiteResult:
     failures = []
     max_dev = 0.0
     for k, ((preset_text, p, t1, t_mid, t2), samples) in enumerate(zip(grid, sample_sets)):
-        model = parse_preset(preset_text, 16)
-        late = oscillator_kernel(p, model, t_mid, t2, order=16)
-        early = oscillator_kernel(p, model, t1, t_mid, order=16)
-        direct = oscillator_kernel(p, model, t1, t2, order=16)
+        ap = kernel_solution(parse_preset(preset_text, 16), 16)
+        late = kernel_at(p, ap, t_mid, t2)
+        early = kernel_at(p, ap, t1, t_mid)
+        direct = kernel_at(p, ap, t1, t2)
         dev = compose_oracle(late, early, direct, samples=samples).max_deviation
         max_dev = max(max_dev, dev)
         if dev > 1e-9:

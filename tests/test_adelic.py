@@ -32,7 +32,7 @@ from padic_oscillator.errors import (
     VacuumAbsentError,
 )
 from padic_oscillator.exact_numbers import fractional_part
-from padic_oscillator.propagator import REAL_PLACE
+from padic_oscillator.propagator import REAL_PLACE, evaluate_kernel, oscillator_kernel
 
 F = Fraction
 
@@ -207,6 +207,17 @@ def test_product_over_no_places_is_one():
     product = adelic_propagator_product((), preset_free(order=12),
                                         F(0), F(1), F(0), F(0))
     assert product.product_value == 1 and product.phase_angle == 0
+
+
+def test_product_solves_the_model_once_for_all_places(solve_calls):
+    model = parse_preset("example1(1,1)", order=12)
+    places = (REAL_PLACE, 3, 5, 7)
+    expect = [evaluate_kernel(oscillator_kernel(place, model, F(0), F(105), order=12),
+                              F(2), F(1)) for place in places]
+    solve_calls.clear()
+    product = adelic_propagator_product(places, model, F(0), F(105), F(2), F(1), order=12)
+    assert solve_calls == [12]
+    assert product.factors == tuple(expect)
 
 
 def test_product_errors_carry_the_place_label():

@@ -1,5 +1,6 @@
 """Amplitude/phase solutions, two-point data, momenta and actions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_oscillator.classical_oscillator import (
+    AmplitudePhase,
+    OscillatorModel,
     momentum_series,
     amplitude_residual,
     boundary_action,
@@ -229,3 +232,86 @@ def test_cos_sin_recurrence_equals_series_composition(name, order):
     assert ap.sin_phase.coeffs == sin_series(order).compose(ap.phase).coeffs
     unit = ap.cos_phase * ap.cos_phase + ap.sin_phase * ap.sin_phase
     assert unit.coeffs == RationalSeries.constant(1, order).coeffs
+
+
+def _fraction_solve(model, order):
+    """Reference: the same recurrences run directly on Fractions."""
+    w2 = model.freq_sq.coeffs
+    g = [model.amp0, model.amp_vel0]
+    square = [g[0] * g[0]]
+    cube, quartic = [], []
+    wronskian_sq = model.wronskian * model.wronskian
+    for n in range(order - 1):
+        square.append(sum(g[i] * g[n + 1 - i] for i in range(n + 2)))
+        cube.append(sum(square[i] * g[n - i] for i in range(n + 1)))
+        quartic.append(sum(square[i] * square[n - i] for i in range(n + 1)))
+        forcing = sum(w2[k] * quartic[n - k] for k in range(n + 1))
+        inertia = sum(
+            cube[k] * (n - k + 2) * (n - k + 1) * g[n - k + 2] for k in range(1, n + 1)
+        )
+        rhs = (wronskian_sq if n == 0 else F(0)) - forcing - inertia
+        g.append(rhs / (cube[0] * (n + 2) * (n + 1)))
+    amp = RationalSeries(tuple(g))
+    phase_vel = model.wronskian / (amp * amp)
+    phase = phase_vel.integrate().truncate(order)
+    rate = phase.differentiate().coeffs
+    cos_c, sin_c = [F(1)], [F(0)]
+    for n in range(1, order + 1):
+        cos_c.append(-sum(rate[k] * sin_c[n - 1 - k] for k in range(n)) / n)
+        sin_c.append(sum(rate[k] * cos_c[n - 1 - k] for k in range(n)) / n)
+    return AmplitudePhase(model, amp, phase, amp.differentiate(), phase_vel,
+                          RationalSeries(tuple(cos_c)), RationalSeries(tuple(sin_c)))
+
+
+def _assert_same_solution(model, order):
+    ap = solve_amplitude_phase(model, order=order)
+    reference = _fraction_solve(model, order)
+    for name in ("amp", "phase", "amp_vel", "phase_vel", "cos_phase", "sin_phase"):
+        got, want = getattr(ap, name).coeffs, getattr(reference, name).coeffs
+        assert len(got) == len(want), name
+        # name the first differing coefficient instead of diffing two long tuples
+        wrong = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert wrong is None, f"{model.label or 'model'} at order {order}: {name}[{wrong}]"
+        assert all(type(c) is Fraction for c in got), name
+    assert ap == reference
+
+
+@pytest.mark.parametrize("order", (24, 48, 96))
+@pytest.mark.parametrize("name", _COS_SIN_MODELS)
+def test_integer_solve_equals_fraction_recurrence(name, order):
+    if name == "omega":
+        model = model_from_omega_coeffs([1, F(1, 2), -2], order=order)
+    else:
+        model = parse_preset(name, order)
+    _assert_same_solution(model, order)
+
+
+def _random_fraction(rng, nonzero=False):
+    value = F(rng.randint(-9, 9), rng.randint(1, 9))
+    return value or (F(-2, 3) if nonzero else value)
+
+
+def test_integer_solve_equals_fraction_recurrence_on_random_models():
+    rng = random.Random(20240517)
+    for _ in range(120):
+        order = rng.randint(2, 32)
+        model_order = order + rng.randint(-2, 4)
+        kind = rng.choice(("example1", "example2", "constant", "free", "omega"))
+        if kind == "omega":
+            coeffs = [_random_fraction(rng) for _ in range(rng.randint(1, 4))]
+            profile = model_from_omega_coeffs(coeffs, order=model_order)
+        elif kind == "constant":
+            profile = preset_constant(abs(_random_fraction(rng)), order=model_order)
+        elif kind == "free":
+            profile = preset_free(order=model_order)
+        else:
+            a, b = _random_fraction(rng, nonzero=True), _random_fraction(rng, nonzero=True)
+            build = preset_example1 if kind == "example1" else preset_example2
+            profile = build(a, b, order=model_order)
+        _assert_same_solution(profile, order)
+        # the same frequency with non-default mass, W and amplitude data
+        model = OscillatorModel(profile.freq_sq, mass=_random_fraction(rng, nonzero=True),
+                                wronskian=abs(_random_fraction(rng, nonzero=True)),
+                                amp0=_random_fraction(rng, nonzero=True),
+                                amp_vel0=_random_fraction(rng))
+        _assert_same_solution(model, order)

@@ -1,9 +1,11 @@
 """Quadratic propagator kernels at one place and their consistency gates."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from padic_oscillator import cli
 from padic_oscillator.classical_oscillator import (
     endpoint_data,
     parse_preset,
@@ -148,3 +150,11 @@ def test_doubling_gate_flags_unstable_padic_angle():
     with pytest.raises(PrecisionError):
         phase_doubling_check(build, F(0), F(1, 3), F(1), F(2),
                              places=(3,), order=24)
+
+
+def test_composition_command_builds_its_three_kernels_from_one_solve(solve_calls, capsys):
+    status = cli.main(["propagator", "--place", "5", "--preset", "example1(2/3,1)",
+                       "--t1", "0", "--t2", "5/7", "--x1", "1", "--x2", "2",
+                       "--order", "12", "--compose", "5/14"])
+    assert status == 0 and solve_calls == [12]
+    assert json.loads(capsys.readouterr().out)["compose"]["max_deviation"] < 1e-9

@@ -1,5 +1,6 @@
 """Truncated power series arithmetic over the rationals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,30 @@ def test_evaluate_is_exact_horner(a, x):
     value = a.evaluate(x)
     manual = sum(a.coefficient(k) * x**k for k in range(a.order + 1))
     assert value == manual and isinstance(value, Fraction)
+
+
+def _fraction_horner(series, t):
+    acc = Fraction(0)
+    for c in reversed(series.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+_POINTS = (0, 1, -1, 7, -12, Fraction(-3, 4), Fraction(-22, 7), Fraction(5, 8),
+           Fraction(2, 3**5), Fraction(-1, 5**3), Fraction(9, 2**10), Fraction(4, 7**2))
+
+
+@pytest.mark.parametrize("point", _POINTS, ids=str)
+def test_integer_horner_equals_fraction_horner(point):
+    rng = random.Random(31)
+    shapes = [RationalSeries((Fraction(0),)), RationalSeries((Fraction(-5, 6),)),
+              RationalSeries.constant(0, 9)]
+    for _ in range(40):
+        order = rng.randint(0, 24)
+        shapes.append(RationalSeries.from_coeffs(
+            [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 9, 25, 49, 3**7, 1000)))
+             if rng.random() < 0.8 else 0 for _ in range(order + 1)]))
+    for series in shapes:
+        value = series.evaluate(point)
+        assert value == _fraction_horner(series, Fraction(point))
+        assert type(value) is Fraction
