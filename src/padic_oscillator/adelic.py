@@ -32,8 +32,6 @@ from .errors import (
     VacuumAbsentError,
 )
 from .exact_numbers import (
-    HalfPower,
-    UnitPhase,
     _require_prime,
     chi,
     frac_str,
@@ -44,15 +42,9 @@ from .exact_numbers import (
     prime_power,
     primes_upto,
 )
-from .gauss_analysis import (
-    GaussIntegralSpec,
-    gauss_brute_force,
-    gauss_closed_form,
-    lambda_p,
-)
+from .gauss_analysis import GaussIntegralSpec, gauss_brute_force, gauss_closed_form
 from .propagator import (
     REAL_PLACE,
-    KernelValue,
     _is_free,
     evaluate_kernel,
     kernel_at,
@@ -90,7 +82,7 @@ class Adele:
             _require_prime(p)
         object.__setattr__(self, "exception_set", exceptions)
         for p, value in comps.items():
-            if p not in exceptions and padic_norm(value, p) > 1:
+            if p not in exceptions and padic_valuation(value, p) < 0:
                 raise ValueError(
                     f"component {frac_str(value)} at p={p} leaves the unit ball "
                     f"but p is not in the exception set"
@@ -319,6 +311,9 @@ class VacuumReport:
 
 _VACUUM_VALUATIONS = tuple(range(-3, 4))
 
+#: largest deviation from Omega(|x''|_p) at which a sampled vacuum case still passes
+VACUUM_TOLERANCE = 1e-9
+
 
 def _unit_samples(p: int) -> tuple:
     """Unit representatives separating every quadratic character value."""
@@ -330,15 +325,19 @@ def _unit_samples(p: int) -> tuple:
 
 def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
                  method: str = "closed-form", order: int = DEFAULT_ORDER,
-                 tolerance: float = 1e-9, depth: Optional[int] = None) -> VacuumReport:
+                 depth: Optional[int] = None) -> VacuumReport:
     """Does the unit-ball indicator reproduce itself under the kernel?
 
     Integrates the kernel against the unit ball in the incoming slot and
     compares with Omega(|x''|_p) for x'' running over one representative
     set per valuation class in [-3, 3] plus 0 — both sides depend on x''
-    only through |x''|_p, so that sampling is exhaustive.  method
-    'closed-form' uses the two-branch ball integral and exact factor
-    arithmetic; 'brute-force' folds cosets numerically.
+    only through |x''|_p, so that sampling is exhaustive.  The outer
+    factors lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own, from
+    evaluate_kernel; chi(-A x''^2/h) is its phase at (x'', 0).  method
+    'closed-form' uses the ball integral and exact factor arithmetic,
+    with deviation 0.0 for an exact match; 'brute-force' sums the
+    cosets numerically.  A case fails when its deviation exceeds
+    VACUUM_TOLERANCE.
 
     Also evaluates the one-way sufficient criterion
     |G'/G| < |phase_vel' * cot(phase jump)| > |h/(2m)| at the prime —
@@ -353,10 +352,9 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     ap = kernel_solution(model, order)
     ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=() if free else (p,))
     kernel = kernel_from_action(p, ap, ep, planck=planck)
-    a_out, b_cross, d_in = kernel.coef_out, kernel.coef_cross, kernel.coef_in
-    lam = lambda_p(-b_cross / (2 * planck), p)
-    norm = HalfPower(Fraction(p), Fraction(-padic_valuation(b_cross / planck, p), 2))
-    alpha_in = -d_in / planck
+    outer = evaluate_kernel(kernel, 0, 0)  # lambda and norm do not depend on x''
+    lam, norm = outer.lambda_factor, outer.norm
+    alpha_in = -kernel.coef_in / planck
 
     samples = [(Fraction(0), None)]
     for nu_x in _VACUUM_VALUATIONS:
@@ -368,8 +366,8 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     max_deviation = 0.0
     for x_out, nu_x in samples:
         expected = omega(padic_norm(x_out, p))
-        spec = GaussIntegralSpec(p, alpha_in, -b_cross * x_out / planck, 0)
-        front = chi(-a_out * x_out * x_out / planck, p)
+        spec = GaussIntegralSpec(p, alpha_in, -kernel.coef_cross * x_out / planck, 0)
+        front = chi(-kernel.coef_out * x_out * x_out / planck, p)
         if method == "closed-form":
             inner = gauss_closed_form(spec)
             if inner.magnitude is None:
@@ -387,7 +385,7 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
             actual = norm.value() * (lam * front).to_complex() * inner_value
             deviation = abs(actual - expected)
         max_deviation = max(max_deviation, deviation)
-        if deviation > tolerance and witness is None:
+        if deviation > VACUUM_TOLERANCE and witness is None:
             witness = x_out
         cases.append(VacuumCase(x_out, nu_x, expected, actual, deviation))
 
@@ -412,14 +410,15 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
 
 def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
                           t_prime, t_dprime, p: int, planck=1,
-                          order: int = DEFAULT_ORDER, depth: Optional[int] = None,
-                          tolerance: float = 1e-9) -> dict:
+                          order: int = DEFAULT_ORDER) -> dict:
     """Apply the evolution to the state's p-factor and read off the phase.
 
-    Only the Omega factor is supported: the brute-force kernel integral
-    against the unit ball must land back on Omega up to the declared
-    per-place phase, whose p-adic fractional part has to vanish for the
-    vacuum.  Raises VacuumAbsentError when the invariance fails.
+    Only the Omega factor is supported: the closed-form kernel integral
+    against the unit ball (``vacuum_check``'s 'closed-form' method) must
+    land back on Omega exactly, up to the declared per-place phase,
+    whose p-adic fractional part has to vanish for the vacuum; the
+    reported deviation is therefore 0.0.  Raises VacuumAbsentError when
+    the invariance fails.
     """
     _require_prime(p)
     factor = state.factor_at(p)
@@ -440,8 +439,7 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
             "trivial_phase": True,
         }
     report = vacuum_check(p, model, t_prime, t_dprime, planck=planck,
-                          method="brute-force", order=order,
-                          tolerance=tolerance, depth=depth)
+                          method="closed-form", order=order)
     if not report.holds:
         raise VacuumAbsentError(
             f"p={p}: kernel does not preserve the unit-ball indicator "
@@ -479,7 +477,6 @@ class AdelicProduct:
     factors: tuple
     x_out: Fraction
     x_in: Fraction
-    label: str = "restricted partial product"
 
     @property
     def phase_angle(self) -> Fraction:
@@ -504,7 +501,7 @@ class AdelicProduct:
     def to_json(self) -> dict:
         value = self.product_value
         return {
-            "label": self.label,
+            "label": "restricted partial product",
             "x_out": frac_str(self.x_out),
             "x_in": frac_str(self.x_in),
             "places": [str(place) for place in self.places],

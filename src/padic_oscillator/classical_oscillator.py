@@ -118,12 +118,11 @@ def parse_preset(text: str, order: int = DEFAULT_ORDER) -> OscillatorModel:
     return builder(*args, order=order)
 
 
-def model_from_omega_coeffs(coeffs, order: int = DEFAULT_ORDER, mass=1, wronskian=1,
-                            amp0=1, amp_vel0=0, label: str = "") -> OscillatorModel:
-    """Model for a polynomial frequency given by its coefficient list."""
+def model_from_omega_coeffs(coeffs, order: int = DEFAULT_ORDER, label: str = "") -> OscillatorModel:
+    """Unit-mass, unit-Wronskian model for a polynomial frequency given by its coefficients."""
     omega = RationalSeries.from_coeffs([Fraction(c) for c in coeffs])
     freq_sq = RationalSeries.from_coeffs(omega.mul_full(omega).coeffs, order=order)
-    return OscillatorModel(freq_sq, mass, wronskian, amp0, amp_vel0, label)
+    return OscillatorModel(freq_sq, label=label)
 
 
 @dataclass(frozen=True)
@@ -275,14 +274,12 @@ class ConvergenceCertificate:
     coefficient window, that every retained term t^n * a_n has p-adic
     norm <= 1/p; the tail beyond truncation is then treated as a p-adic
     integer perturbation, which leaves fractional parts (and hence any
-    character built from the value) unchanged.  The real radius is a
-    root-test estimate from the same window, reported but not enforced.
+    character built from the value) unchanged.  It makes no claim at
+    the real place.
     """
 
     point: Fraction
     entries: tuple[tuple[int, bool], ...]
-    real_radius: float
-    window: tuple[int, int]
 
     @property
     def granted(self) -> bool:
@@ -306,13 +303,7 @@ def convergence_certificate(series: RationalSeries, primes, point,
                 ok = False
                 break
         entries.append((p, ok))
-    logs = []
-    for n in range(low, high + 1):
-        coeff = series.coefficient(n)
-        if coeff:
-            logs.append((math.log(abs(coeff.numerator)) - math.log(coeff.denominator)) / n)
-    radius = math.exp(-max(logs)) if logs else math.inf
-    certificate = ConvergenceCertificate(point, tuple(entries), radius, (low, high))
+    certificate = ConvergenceCertificate(point, tuple(entries))
     if strict and not certificate.granted:
         failed = [p for p, ok in certificate.entries if not ok]
         raise DivergenceError(f"series tail not certified at t={point} for primes {failed}")
@@ -445,14 +436,7 @@ def momentum(ap: AmplitudePhase, ep: EndpointData, t) -> Fraction:
     return momentum_series(ap, ep).evaluate(Fraction(t))
 
 
-def _frame(ap: AmplitudePhase, ep: EndpointData, mass, wronskian):
-    m = ap.model.mass if mass is None else Fraction(mass)
-    w = ap.model.wronskian if wronskian is None else Fraction(wronskian)
-    return m, w, w / (ep.amp1 * ep.amp1), w / (ep.amp2 * ep.amp2)
-
-
-def endpoint_momenta(ap: AmplitudePhase, ep: EndpointData, mass=None,
-                     wronskian=None) -> tuple[Fraction, Fraction]:
+def endpoint_momenta(ap: AmplitudePhase, ep: EndpointData) -> tuple[Fraction, Fraction]:
     """Exact momenta at both endpoints from the reduced two-point form.
 
     At the endpoints the phase-difference cosines collapse (cos 0 = 1,
@@ -460,43 +444,41 @@ def endpoint_momenta(ap: AmplitudePhase, ep: EndpointData, mass=None,
     W/(G' G'' sin_diff); these are the scalars that make the boundary
     form of the action close exactly.
     """
-    m, w, pv1, pv2 = _frame(ap, ep, mass, wronskian)
-    cross = w / (ep.amp1 * ep.amp2 * ep.sin_diff)
+    m = ap.model.mass
+    cross = ap.model.wronskian / (ep.amp1 * ep.amp2 * ep.sin_diff)
     cot = ep.cos_diff / ep.sin_diff
-    k1 = m * (ep.x_prime * (ep.amp_vel1 / ep.amp1 - pv1 * cot) + ep.x_dprime * cross)
-    k2 = m * (ep.x_dprime * (ep.amp_vel2 / ep.amp2 + pv2 * cot) - ep.x_prime * cross)
+    k1 = m * (ep.x_prime * (ep.amp_vel1 / ep.amp1 - ep.phase_vel1 * cot) + ep.x_dprime * cross)
+    k2 = m * (ep.x_dprime * (ep.amp_vel2 / ep.amp2 + ep.phase_vel2 * cot) - ep.x_prime * cross)
     return k1, k2
 
 
-def action_coefficients(ap: AmplitudePhase, ep: EndpointData, mass=None,
-                        wronskian=None) -> tuple[Fraction, Fraction, Fraction]:
+def action_coefficients(ap: AmplitudePhase,
+                        ep: EndpointData) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, D) of the quadratic action A x''^2 + B x'' x' + D x'^2.
 
     The square root in the printed cross coefficient,
     sqrt(phase_vel2 * phase_vel1), is eliminated exactly as
     W/(G' G'') via the scalar convention.
     """
-    m, w, pv1, pv2 = _frame(ap, ep, mass, wronskian)
+    m = ap.model.mass
     cot = ep.cos_diff / ep.sin_diff
-    coef_out = m / 2 * (pv2 * cot + ep.amp_vel2 / ep.amp2)
-    coef_cross = -m * w / (ep.amp1 * ep.amp2 * ep.sin_diff)
-    coef_in = m / 2 * (pv1 * cot - ep.amp_vel1 / ep.amp1)
+    coef_out = m / 2 * (ep.phase_vel2 * cot + ep.amp_vel2 / ep.amp2)
+    coef_cross = -m * ap.model.wronskian / (ep.amp1 * ep.amp2 * ep.sin_diff)
+    coef_in = m / 2 * (ep.phase_vel1 * cot - ep.amp_vel1 / ep.amp1)
     return coef_out, coef_cross, coef_in
 
 
-def classical_action(ap: AmplitudePhase, ep: EndpointData, mass=None,
-                     wronskian=None) -> Fraction:
+def classical_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
     """Action as the quadratic form in the endpoint positions."""
-    coef_out, coef_cross, coef_in = action_coefficients(ap, ep, mass, wronskian)
+    coef_out, coef_cross, coef_in = action_coefficients(ap, ep)
     return (coef_out * ep.x_dprime * ep.x_dprime
             + coef_cross * ep.x_dprime * ep.x_prime
             + coef_in * ep.x_prime * ep.x_prime)
 
 
-def boundary_action(ap: AmplitudePhase, ep: EndpointData, mass=None,
-                    wronskian=None) -> Fraction:
+def boundary_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
     """Action as the boundary form (m/2)(x'' xdot'' - x' xdot')."""
-    k1, k2 = endpoint_momenta(ap, ep, mass, wronskian)
+    k1, k2 = endpoint_momenta(ap, ep)
     return (ep.x_dprime * k2 - ep.x_prime * k1) / 2
 
 

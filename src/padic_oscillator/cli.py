@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .adelic import (
     adelic_propagator_product,

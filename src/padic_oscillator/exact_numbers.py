@@ -31,19 +31,49 @@ DEFAULT_DIGITS = 32
 
 _PRIME_CACHE: set[int] = set()
 
+#: the first 13 primes; as Miller-Rabin bases they decide primality exactly
+#: below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """True when no base in MILLER_RABIN_BASES witnesses that odd n > 41 is composite."""
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in MILLER_RABIN_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def is_prime(n: int) -> bool:
+    """Exact primality test for n below MILLER_RABIN_BOUND; ValueError at or above it.
+
+    Primes found are cached, so repeated checks of one prime cost a set lookup.
+    """
     if n in _PRIME_CACHE:
         return True
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    _PRIME_CACHE.add(n)
-    return True
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: the deterministic "
+                         f"Miller-Rabin test is exact only below {MILLER_RABIN_BOUND}")
+    if any(n % q == 0 for q in MILLER_RABIN_BASES):
+        prime = n in MILLER_RABIN_BASES
+    else:  # no factor up to 41, so n < 43^2 is prime
+        prime = n < 43 * 43 or _passes_miller_rabin(n)
+    if prime:
+        _PRIME_CACHE.add(n)
+    return prime
 
 
 def primes_upto(limit: int) -> list[int]:

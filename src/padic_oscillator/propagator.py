@@ -49,6 +49,9 @@ from .gauss_analysis import (
 
 REAL_PLACE = "real"
 
+#: largest move of the real action angle that the order-doubling gate accepts
+REAL_TOLERANCE = 1e-9
+
 
 def _check_place(place) -> None:
     if place == REAL_PLACE:
@@ -128,8 +131,7 @@ def _is_free(model: OscillatorModel) -> bool:
     return model.freq_sq.is_zero_through(model.freq_sq.order)
 
 
-def kernel_from_action(place, ap: AmplitudePhase, ep: EndpointData,
-                       mass=None, planck=1) -> QuadraticKernel:
+def kernel_from_action(place, ap: AmplitudePhase, ep: EndpointData, planck=1) -> QuadraticKernel:
     """Kernel coefficients at a place from solved classical data.
 
     A p-adic place requires the endpoint data to carry its certificate.
@@ -139,13 +141,12 @@ def kernel_from_action(place, ap: AmplitudePhase, ep: EndpointData,
     function but its truncated series would pollute the coefficients.
     """
     _check_place(place)
-    mass = ap.model.mass if mass is None else Fraction(mass)
-    planck = Fraction(planck)
+    mass = ap.model.mass
     if _is_free(ap.model):
         return QuadraticKernel.free(place, ep.t_dprime - ep.t_prime, mass, planck)
     if place != REAL_PLACE and place not in ep.certified:
         raise DivergenceError(f"endpoint data not certified at p={place}")
-    coef_out, coef_cross, coef_in = action_coefficients(ap, ep, mass)
+    coef_out, coef_cross, coef_in = action_coefficients(ap, ep)
     return QuadraticKernel(place, coef_out, coef_cross, coef_in, mass, planck)
 
 
@@ -165,9 +166,9 @@ def kernel_at(place, ap: AmplitudePhase, t_prime, t_dprime, planck=1) -> Quadrat
 
 
 def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
-                      planck=1, order: int = DEFAULT_ORDER) -> QuadraticKernel:
-    """Convenience: solve the model and build the kernel over [t', t'']."""
-    return kernel_at(place, kernel_solution(model, order), t_prime, t_dprime, planck)
+                      order: int = DEFAULT_ORDER) -> QuadraticKernel:
+    """Convenience: solve the model and build the kernel over [t', t''] with h = 1."""
+    return kernel_at(place, kernel_solution(model, order), t_prime, t_dprime)
 
 
 def evaluate_kernel(kernel: QuadraticKernel, x_out, x_in) -> KernelValue:
@@ -203,8 +204,7 @@ class CompositionReport:
 
 def compose_oracle(late: QuadraticKernel, early: QuadraticKernel,
                    direct: QuadraticKernel,
-                   samples: Sequence[tuple[Fraction, Fraction]] | None = None,
-                   depth: int | None = None) -> CompositionReport:
+                   samples: Sequence[tuple[Fraction, Fraction]] | None = None) -> CompositionReport:
     """Integrate K_late(x_out, x) K_early(x, x_in) dx against the direct kernel.
 
     The intermediate integral runs over a ball chosen per sample so the
@@ -249,12 +249,12 @@ def compose_oracle(late: QuadraticKernel, early: QuadraticKernel,
             ball = max(ball, padic_valuation(2 * alpha, p) - padic_valuation(beta, p) + 1)
         exponents.append(ball)
         spec = GaussIntegralSpec(p, alpha, beta, ball)
-        inner = gauss_brute_force(spec, depth)
+        inner = gauss_brute_force(spec)
         constant = -(late.coef_out * x_out * x_out + early.coef_in * x_in * x_in) / h
         left = prefactor * chi(constant, p).to_complex() * inner
         right = evaluate_kernel(direct, x_out, x_in).complex_value
         worst = max(worst, abs(left - right))
-        depth_used = max(depth_used, depth if depth is not None else local_constancy_depth(spec))
+        depth_used = max(depth_used, local_constancy_depth(spec))
     return CompositionReport(p, depth_used, tuple(exponents), samples, worst)
 
 
@@ -264,16 +264,17 @@ def compose_oracle(late: QuadraticKernel, early: QuadraticKernel,
 
 def phase_doubling_check(build_model: Callable[[int], OscillatorModel],
                          t_prime, t_dprime, x_prime, x_dprime,
-                         places: Sequence, planck=1, order: int = DEFAULT_ORDER,
-                         real_tolerance: float = 1e-9) -> dict:
+                         places: Sequence, planck=1, order: int = DEFAULT_ORDER) -> dict:
     """Re-solve at doubled order and require stable action phase angles.
 
     Returns {place: angle} with the real-place angle S/h mod 1 and
     p-adic angles {-S/h}_p.  p-adic angles must agree EXACTLY between
     order N and 2N (p-adic characters are locally constant, so any
     truncation dust must already lie in Z_p); the real-place angle only
-    needs to agree within real_tolerance (the real character is
-    continuous).  A violation raises PrecisionError.
+    needs to agree within REAL_TOLERANCE (the real character is
+    continuous).  A zero frequency profile takes its action from the
+    closed-form free kernel at both orders.  A violation raises
+    PrecisionError.
     """
     planck = Fraction(planck)
     places = tuple(places)
@@ -282,8 +283,8 @@ def phase_doubling_check(build_model: Callable[[int], OscillatorModel],
         model = build_model(n)
         if _is_free(model):
             duration = Fraction(t_dprime) - Fraction(t_prime)
-            spread = Fraction(x_dprime) - Fraction(x_prime)
-            action = model.mass * spread * spread / (2 * duration)
+            free = QuadraticKernel.free(REAL_PLACE, duration, model.mass)
+            action = free.action(x_dprime, x_prime)
         else:
             ap = solve_amplitude_phase(model, n)
             ep = endpoint_data(ap, t_prime, t_dprime, x_prime, x_dprime)
@@ -300,7 +301,7 @@ def phase_doubling_check(build_model: Callable[[int], OscillatorModel],
         if place == REAL_PLACE:
             gap = abs(float(first[place] - second[place]))
             gap = min(gap, 1.0 - gap)
-            if gap > real_tolerance:
+            if gap > REAL_TOLERANCE:
                 raise PrecisionError(
                     f"real action angle unstable under order doubling "
                     f"({order} -> {2 * order}): moved by {gap:g}"

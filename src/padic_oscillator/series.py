@@ -31,7 +31,6 @@ def numerators_over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
 @dataclass(frozen=True)
 class RationalSeries:
     coeffs: tuple[Fraction, ...]
-    var: str = "t"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
@@ -41,22 +40,22 @@ class RationalSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, values: Iterable[Scalar], order: int | None = None, var: str = "t") -> "RationalSeries":
+    def from_coeffs(cls, values: Iterable[Scalar], order: int | None = None) -> "RationalSeries":
         coeffs = [_frac(v) for v in values]
         if order is not None:
             if order + 1 < len(coeffs):
                 coeffs = coeffs[: order + 1]
             else:
                 coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs), var)
+        return cls(tuple(coeffs))
 
     @classmethod
-    def constant(cls, value: Scalar, order: int, var: str = "t") -> "RationalSeries":
-        return cls.from_coeffs([value], order=order, var=var)
+    def constant(cls, value: Scalar, order: int) -> "RationalSeries":
+        return cls.from_coeffs([value], order=order)
 
     @classmethod
-    def identity(cls, order: int, var: str = "t") -> "RationalSeries":
-        return cls.from_coeffs([0, 1], order=order, var=var)
+    def identity(cls, order: int) -> "RationalSeries":
+        return cls.from_coeffs([0, 1], order=order)
 
     # -- basic queries ------------------------------------------------
 
@@ -73,31 +72,24 @@ class RationalSeries:
     def truncate(self, order: int) -> "RationalSeries":
         if order > self.order:
             raise ValueError("truncation cannot extend a series")
-        return RationalSeries(self.coeffs[: order + 1], self.var)
+        return RationalSeries(self.coeffs[: order + 1])
 
     # -- ring structure ----------------------------------------------
 
-    def _align(self, other: "RationalSeries") -> int:
-        if self.var != other.var:
-            raise ValueError("variable mismatch")
-        return min(self.order, other.order)
-
     def __add__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
-            other = RationalSeries.constant(other, self.order, self.var)
-        n = self._align(other)
-        return RationalSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), self.var
-        )
+            other = RationalSeries.constant(other, self.order)
+        n = min(self.order, other.order)
+        return RationalSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalSeries":
-        return RationalSeries(tuple(-c for c in self.coeffs), self.var)
+        return RationalSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
-            other = RationalSeries.constant(other, self.order, self.var)
+            other = RationalSeries.constant(other, self.order)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "RationalSeries":
@@ -105,12 +97,12 @@ class RationalSeries:
 
     def scale(self, factor: Scalar) -> "RationalSeries":
         f = _frac(factor)
-        return RationalSeries(tuple(f * c for c in self.coeffs), self.var)
+        return RationalSeries(tuple(f * c for c in self.coeffs))
 
     def __mul__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
             return self.scale(other)
-        n = self._align(other)
+        n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
@@ -119,14 +111,12 @@ class RationalSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return RationalSeries(tuple(out), self.var)
+        return RationalSeries(tuple(out))
 
     __rmul__ = __mul__
 
     def mul_full(self, other: "RationalSeries") -> "RationalSeries":
         """Exact polynomial product: no truncation, order = sum of orders."""
-        if self.var != other.var:
-            raise ValueError("variable mismatch")
         out = [Fraction(0)] * (self.order + other.order + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -134,12 +124,12 @@ class RationalSeries:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return RationalSeries(tuple(out), self.var)
+        return RationalSeries(tuple(out))
 
     def __truediv__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
             return self.scale(Fraction(1) / _frac(other))
-        n = self._align(other)
+        n = min(self.order, other.order)
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("constant term of the divisor vanishes")
         out: list[Fraction] = []
@@ -148,24 +138,22 @@ class RationalSeries:
             for i in range(k):
                 acc -= out[i] * other.coeffs[k - i]
             out.append(acc / other.coeffs[0])
-        return RationalSeries(tuple(out), self.var)
+        return RationalSeries(tuple(out))
 
     def __rtruediv__(self, other: Scalar) -> "RationalSeries":
-        return RationalSeries.constant(other, self.order, self.var) / self
+        return RationalSeries.constant(other, self.order) / self
 
     # -- calculus -----------------------------------------------------
 
     def differentiate(self) -> "RationalSeries":
         if self.order == 0:
-            return RationalSeries((Fraction(0),), self.var)
-        return RationalSeries(
-            tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)), self.var
-        )
+            return RationalSeries((Fraction(0),))
+        return RationalSeries(tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)))
 
     def integrate(self, constant: Scalar = 0) -> "RationalSeries":
         out = [_frac(constant)]
         out.extend(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
-        return RationalSeries(tuple(out), self.var)
+        return RationalSeries(tuple(out))
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(t)); the inner series must have zero constant term."""
@@ -190,7 +178,7 @@ class RationalSeries:
                 for idx in range(n + 1):
                     if power[idx]:
                         out[idx] += ak * power[idx]
-        return RationalSeries(tuple(out), self.var)
+        return RationalSeries(tuple(out))
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Exact partial-sum evaluation by Horner's rule on integers.
@@ -210,53 +198,51 @@ class RationalSeries:
         return Fraction(acc, common * b**self.order)
 
     def __str__(self) -> str:
-        terms = [f"({c}){self.var}^{k}" for k, c in enumerate(self.coeffs) if c]
+        terms = [f"({c})t^{k}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
 
 # -- standard expansions ---------------------------------------------
 
 
-def sin_series(order: int, var: str = "t") -> RationalSeries:
+def sin_series(order: int) -> RationalSeries:
     coeffs = [
         Fraction((-1) ** (k // 2), factorial(k)) if k % 2 else Fraction(0)
         for k in range(order + 1)
     ]
-    return RationalSeries.from_coeffs(coeffs, order=order, var=var)
+    return RationalSeries.from_coeffs(coeffs, order=order)
 
 
-def cos_series(order: int, var: str = "t") -> RationalSeries:
+def cos_series(order: int) -> RationalSeries:
     coeffs = [
         Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else Fraction(0)
         for k in range(order + 1)
     ]
-    return RationalSeries.from_coeffs(coeffs, order=order, var=var)
+    return RationalSeries.from_coeffs(coeffs, order=order)
 
 
-def exp_series(order: int, var: str = "t") -> RationalSeries:
-    return RationalSeries.from_coeffs(
-        [Fraction(1, factorial(k)) for k in range(order + 1)], order=order, var=var
-    )
+def exp_series(order: int) -> RationalSeries:
+    return RationalSeries.from_coeffs([Fraction(1, factorial(k)) for k in range(order + 1)])
 
 
-def log1p_series(order: int, var: str = "t") -> RationalSeries:
+def log1p_series(order: int) -> RationalSeries:
     """log(1 + t)."""
     coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    return RationalSeries.from_coeffs(coeffs, order=order, var=var)
+    return RationalSeries.from_coeffs(coeffs, order=order)
 
 
-def atan_series(order: int, var: str = "t") -> RationalSeries:
+def atan_series(order: int) -> RationalSeries:
     coeffs = [
         Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0) for k in range(order + 1)
     ]
-    return RationalSeries.from_coeffs(coeffs, order=order, var=var)
+    return RationalSeries.from_coeffs(coeffs, order=order)
 
 
-def binomial_series(exponent: Scalar, order: int, scale: Scalar = 1, var: str = "t") -> RationalSeries:
+def binomial_series(exponent: Scalar, order: int, scale: Scalar = 1) -> RationalSeries:
     """(1 + scale*t)**exponent for a rational exponent."""
     e = _frac(exponent)
     s = _frac(scale)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * (e - n + 1) / n * s)
-    return RationalSeries.from_coeffs(coeffs, order=order, var=var)
+    return RationalSeries.from_coeffs(coeffs, order=order)

@@ -23,14 +23,12 @@ from .classical_oscillator import (
     preset_constant,
     preset_example1,
     preset_example2,
-    preset_free,
     solve_amplitude_phase,
 )
 from .errors import CausticError
 from .exact_numbers import (
     chi,
     frac_str,
-    fractional_part,
     padic_norm,
     prime_power,
     primes_upto,

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -50,6 +51,19 @@ def test_gauss_branch_gap_exit_code():
     assert payload["closed"]["magnitude"] == {"base": "2/1", "exponent": "-1/2"}
     assert payload["closed"]["phase_angle"] == "1/8"
     assert payload["deviation"] < 1e-9
+
+
+def test_gauss_at_a_prime_near_ten_to_the_eighteen_answers_fast():
+    start = time.perf_counter()
+    result = run_json("gauss", "-p", "1000000000000000003", "-a", "1/3")["closed"]
+    assert time.perf_counter() - start < 5
+    assert result["branch"] == 1 and result["magnitude"]["exponent"] == "0/1"
+
+
+def test_gauss_prime_beyond_the_exact_primality_bound_is_a_usage_error():
+    proc = run_cli("gauss", "-p", str(2**89 - 1), "-a", "1/3")
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("error: cannot decide whether")
 
 
 def test_gauss_depth_guard_exit_code():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_oscillator import exact_numbers
 from padic_oscillator.exact_numbers import (
     HalfPower,
     PHASE_ONE,
@@ -14,6 +15,7 @@ from padic_oscillator.exact_numbers import (
     chi,
     frac_str,
     fractional_part,
+    is_prime,
     omega,
     padic_norm,
     padic_sqrt,
@@ -160,3 +162,24 @@ def test_rational_parsing_round_trip_and_rejects():
     for bad in ("x/3", "1.5", "1/0", "2/-3", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_is_prime_agrees_with_the_sieve_below_ten_to_the_five(monkeypatch):
+    monkeypatch.setattr(exact_numbers, "_PRIME_CACHE", set())
+    primes = set(primes_upto(10**5))
+    assert [n for n in range(-2, 10**5) if is_prime(n) != (n in primes)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_bases(monkeypatch):
+    monkeypatch.setattr(exact_numbers, "_PRIME_CACHE", set())
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_to_guess_beyond_the_exact_bound():
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    with pytest.raises(ValueError):
+        is_prime(exact_numbers.MILLER_RABIN_BOUND)

@@ -152,6 +152,14 @@ def test_doubling_gate_flags_unstable_padic_angle():
                              places=(3,), order=24)
 
 
+def test_doubling_gate_free_branch_uses_the_free_action(solve_calls):
+    # m (x'' - x')^2 / (2T) = 3/4 for T = 2/3, x' = 1 and x'' = 2
+    angles = phase_doubling_check(preset_free, F(0), F(2, 3), F(1), F(2),
+                                  places=(REAL_PLACE, 2, 3), order=8)
+    assert angles == {REAL_PLACE: F(3, 4), 2: F(1, 4), 3: F(0)}
+    assert solve_calls == []
+
+
 def test_composition_command_builds_its_three_kernels_from_one_solve(solve_calls, capsys):
     status = cli.main(["propagator", "--place", "5", "--preset", "example1(2/3,1)",
                        "--t1", "0", "--t2", "5/7", "--x1", "1", "--x2", "2",
