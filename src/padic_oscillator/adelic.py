@@ -40,7 +40,6 @@ from .exact_numbers import (
     padic_norm,
     padic_valuation,
     prime_power,
-    primes_upto,
 )
 from .gauss_analysis import GaussIntegralSpec, gauss_brute_force, gauss_closed_form
 from .propagator import (
@@ -98,8 +97,8 @@ class Adele:
     def to_json(self) -> dict:
         real = self.real_component
         return {
-            "real": frac_str(real) if isinstance(real, Fraction) else float(real),
-            "exceptions": {str(p): frac_str(x) for p, x in sorted(self.components.items())},
+            "real": real if isinstance(real, Fraction) else float(real),
+            "exceptions": {str(p): x for p, x in sorted(self.components.items())},
             "S": sorted(self.exception_set),
         }
 
@@ -135,9 +134,9 @@ class GaussianGroundState:
 
     def to_json(self) -> dict:
         return {
-            "mass": frac_str(self.mass),
-            "frequency": frac_str(self.frequency),
-            "planck": frac_str(self.planck),
+            "mass": self.mass,
+            "frequency": self.frequency,
+            "planck": self.planck,
             "length_scale": self.length_scale,
         }
 
@@ -222,40 +221,37 @@ class OmegaProduct:
     vanishing_primes: tuple
     prime_cutoff: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "vanishing_primes": list(self.vanishing_primes),
-            "prime_cutoff": self.prime_cutoff,
-        }
-
 
 def omega_product(x, prime_cutoff: int) -> OmegaProduct:
     """Evaluate the product over primes of Omega(|x|_p) with a certificate.
 
     The product is 1 exactly when x is an integer; otherwise it vanishes
-    at each prime dividing the denominator.  Trial division by all
-    primes up to the cutoff must exhaust the denominator — a leftover
-    factor means some prime above the cutoff also kills the product and
-    the finite inspection cannot certify it: PrimeCutoffError.
+    at each prime dividing the denominator.  Trial division by d = 2, 3, ...
+    while d <= cutoff and d^2 <= residual must leave 1 or a prime residual
+    no larger than the cutoff — a larger leftover means some prime above
+    the cutoff also kills the product and the finite inspection cannot
+    certify it: PrimeCutoffError.  No sieve is built, so the work is at
+    most min(cutoff, sqrt(denominator)) divisions.
     """
     x = Fraction(x)
     if prime_cutoff < 2:
         raise ValueError("prime cutoff must be at least 2")
     residual = x.denominator
     vanishing = []
-    for p in primes_upto(prime_cutoff):
-        if residual % p == 0:
-            vanishing.append(p)
-            while residual % p == 0:
-                residual //= p
-        if residual == 1:
-            break
-    if residual > 1:
+    d = 2
+    while d <= prime_cutoff and d * d <= residual:
+        if residual % d == 0:
+            vanishing.append(d)
+            while residual % d == 0:
+                residual //= d
+        d += 1
+    if residual > prime_cutoff:
         raise PrimeCutoffError(
             f"denominator of {frac_str(x)} keeps a factor {residual} with no "
             f"prime divisor <= {prime_cutoff}; raise the cutoff to certify"
         )
+    if residual > 1:  # no divisor up to its square root: a prime
+        vanishing.append(residual)
     return OmegaProduct(1 if x.denominator == 1 else 0, tuple(vanishing), prime_cutoff)
 
 
@@ -273,15 +269,6 @@ class VacuumCase:
     actual: complex
     deviation: float
 
-    def to_json(self) -> dict:
-        return {
-            "x_out": frac_str(self.x_out),
-            "valuation": self.valuation,
-            "expected": self.expected,
-            "actual": {"re": self.actual.real, "im": self.actual.imag},
-            "deviation": self.deviation,
-        }
-
 
 @dataclass(frozen=True)
 class VacuumReport:
@@ -295,18 +282,6 @@ class VacuumReport:
     cases: tuple
     max_deviation: float
     sufficient_condition: Optional[bool]
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "method": self.method,
-            "planck": frac_str(self.planck),
-            "holds": self.holds,
-            "witness": None if self.witness is None else frac_str(self.witness),
-            "max_deviation": self.max_deviation,
-            "sufficient_condition": self.sufficient_condition,
-            "cases": [case.to_json() for case in self.cases],
-        }
 
 
 _VACUUM_VALUATIONS = tuple(range(-3, 4))
@@ -332,12 +307,12 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     compares with Omega(|x''|_p) for x'' running over one representative
     set per valuation class in [-3, 3] plus 0 — both sides depend on x''
     only through |x''|_p, so that sampling is exhaustive.  The outer
-    factors lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own, from
-    evaluate_kernel; chi(-A x''^2/h) is its phase at (x'', 0).  method
-    'closed-form' uses the ball integral and exact factor arithmetic,
-    with deviation 0.0 for an exact match; 'brute-force' sums the
-    cosets numerically.  A case fails when its deviation exceeds
-    VACUUM_TOLERANCE.
+    factors lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own
+    ``lambda_factor`` and ``norm``; chi(-A x''^2/h) is its phase at
+    (x'', 0).  method 'closed-form' uses the ball integral and exact
+    factor arithmetic, with deviation 0.0 for an exact match;
+    'brute-force' sums the cosets numerically.  A case fails when its
+    deviation exceeds VACUUM_TOLERANCE.
 
     Also evaluates the one-way sufficient criterion
     |G'/G| < |phase_vel' * cot(phase jump)| > |h/(2m)| at the prime —
@@ -352,8 +327,7 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     ap = kernel_solution(model, order)
     ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=() if free else (p,))
     kernel = kernel_from_action(p, ap, ep, planck=planck)
-    outer = evaluate_kernel(kernel, 0, 0)  # lambda and norm do not depend on x''
-    lam, norm = outer.lambda_factor, outer.norm
+    lam, norm = kernel.lambda_factor, kernel.norm
     alpha_in = -kernel.coef_in / planck
 
     samples = [(Fraction(0), None)]
@@ -499,21 +473,20 @@ class AdelicProduct:
         return out
 
     def to_json(self) -> dict:
-        value = self.product_value
         return {
             "label": "restricted partial product",
-            "x_out": frac_str(self.x_out),
-            "x_in": frac_str(self.x_in),
+            "x_out": self.x_out,
+            "x_in": self.x_in,
             "places": [str(place) for place in self.places],
-            "factors": {str(place): factor.to_json()
-                        for place, factor in zip(self.places, self.factors)},
-            "phase_angle": frac_str(self.phase_angle),
-            "product": {"re": value.real, "im": value.imag},
+            "factors": dict(zip(map(str, self.places), self.factors)),
+            "phase_angle": self.phase_angle,
+            "product": self.product_value,
         }
 
 
 def _ordered_places(places) -> tuple:
-    finite = sorted(p for p in places if p != REAL_PLACE)
+    """The real place first, then each distinct prime once, ascending."""
+    finite = sorted({p for p in places if p != REAL_PLACE})
     head = [REAL_PLACE] if REAL_PLACE in places else []
     return tuple(head + finite)
 

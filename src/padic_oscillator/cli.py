@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .adelic import (
     adelic_propagator_product,
@@ -79,10 +80,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+def _encode(value):
+    """The JSON form of each value json cannot write: a rational as "num/den",
+    a complex as {"re", "im"}, then an object's own to_json or a dataclass's fields."""
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
 def _emit(command: str, payload: dict) -> None:
     doc = {"schema": SCHEMA, "command": command}
     doc.update(payload)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2, default=_encode))
 
 
 def _parse_place(text: str):
@@ -112,18 +127,10 @@ def cmd_gauss(args) -> int:
     spec = GaussIntegralSpec(args.prime, parse_rational(args.alpha),
                              parse_rational(args.beta), args.nu)
     closed = gauss_closed_form(spec)
-    payload = {
-        "spec": {
-            "prime": spec.prime,
-            "alpha": frac_str(spec.alpha),
-            "beta": frac_str(spec.beta),
-            "ball_exponent": spec.ball_exponent,
-        },
-        "closed": closed.to_json(),
-    }
+    payload = {"spec": spec, "closed": closed}
     if args.oracle_depth is not None:
         oracle = gauss_brute_force(spec, depth=args.oracle_depth)
-        payload["oracle"] = {"re": oracle.real, "im": oracle.imag}
+        payload["oracle"] = oracle
         payload["deviation"] = abs(closed.value - oracle)
     _emit("gauss", payload)
     return 0
@@ -145,16 +152,16 @@ def cmd_classical(args) -> int:
         "model": model.label,
         "order": order,
         "endpoints": {
-            "t_prime": frac_str(ep.t_prime), "x_prime": frac_str(ep.x_prime),
-            "t_dprime": frac_str(ep.t_dprime), "x_dprime": frac_str(ep.x_dprime),
+            "t_prime": ep.t_prime, "x_prime": ep.x_prime,
+            "t_dprime": ep.t_dprime, "x_dprime": ep.x_dprime,
         },
-        "certified_primes": list(ep.certified),
-        "trajectory_coefficients": [frac_str(c) for c in trajectory.coeffs],
-        "momenta": {"k_prime": frac_str(k1), "k_dprime": frac_str(k2)},
+        "certified_primes": ep.certified,
+        "trajectory_coefficients": trajectory.coeffs,
+        "momenta": {"k_prime": k1, "k_dprime": k2},
         "action": {
-            "quadratic_form": frac_str(quad),
-            "boundary_form": frac_str(boundary),
-            "difference": frac_str(quad - boundary),
+            "quadratic_form": quad,
+            "boundary_form": boundary,
+            "difference": quad - boundary,
         },
     })
     return 0
@@ -176,13 +183,13 @@ def cmd_propagator(args) -> int:
         "place": str(place),
         "order": order,
         "kernel": {
-            "coef_out": frac_str(kernel.coef_out),
-            "coef_cross": frac_str(kernel.coef_cross),
-            "coef_in": frac_str(kernel.coef_in),
-            "mass": frac_str(kernel.mass),
-            "planck": frac_str(kernel.planck),
+            "coef_out": kernel.coef_out,
+            "coef_cross": kernel.coef_cross,
+            "coef_in": kernel.coef_in,
+            "mass": kernel.mass,
+            "planck": kernel.planck,
         },
-        "value": value.to_json(),
+        "value": value,
         "modulus": value.norm.value(),
     }
     if args.compose is not None:
@@ -197,14 +204,14 @@ def cmd_propagator(args) -> int:
             "prime": report.prime,
             "depth": report.depth,
             "samples": len(report.samples),
-            "ball_exponents": list(report.ball_exponents),
+            "ball_exponents": report.ball_exponents,
             "max_deviation": report.max_deviation,
         }
     if args.stability_check:
         angles = phase_doubling_check(lambda o: _build_model(args, o), t1, t2, x_in, x_out,
                                       places=(place,), planck=planck, order=order)
         payload["stability"] = {
-            str(key): float(value) if key == REAL_PLACE else frac_str(value)
+            str(key): float(value) if key == REAL_PLACE else value
             for key, value in angles.items()
         }
     _emit("propagator", payload)
@@ -221,16 +228,15 @@ def cmd_vacuum(args) -> int:
         entry: dict = {"prime": p}
         if args.method in ("closed-form", "both"):
             entry["closed"] = vacuum_check(p, model, t1, t2, planck=planck,
-                                           method="closed-form", order=order).to_json()
+                                           method="closed-form", order=order)
         if args.method in ("brute-force", "both"):
             entry["brute"] = vacuum_check(p, model, t1, t2, planck=planck,
                                           method="brute-force", order=order,
-                                          depth=args.depth).to_json()
-        if entry.get("closed") and entry.get("brute"):
-            entry["agree"] = entry["closed"]["holds"] == entry["brute"]["holds"]
+                                          depth=args.depth)
+        if args.method == "both":
+            entry["agree"] = entry["closed"].holds == entry["brute"].holds
         reports.append(entry)
-    _emit("vacuum", {"model": model.label, "planck": frac_str(planck),
-                     "reports": reports})
+    _emit("vacuum", {"model": model.label, "planck": planck, "reports": reports})
     return 0
 
 
@@ -245,24 +251,19 @@ def cmd_discreteness(args) -> int:
         for row in rows:
             writer.writerow([frac_str(row["x"]), row["value"]])
         return 0
-    _emit("discreteness", {
-        "cutoff": args.cutoff,
-        "state": state.real_factor.to_json(),
-        "rows": [{"x": frac_str(row["x"]), "value": row["value"],
-                  "vanishing_primes": row["vanishing_primes"]} for row in rows],
-    })
+    _emit("discreteness", {"cutoff": args.cutoff, "state": state.real_factor, "rows": rows})
     return 0
 
 
 def cmd_product(args) -> int:
     order = args.order
     model = _build_model(args, order)
-    places = tuple(_parse_place(piece) for piece in args.places.split(","))
+    places = tuple(_parse_place(piece) for piece in args.places.split(",") if piece.strip())
     product = adelic_propagator_product(
         places, model, parse_rational(args.t1), parse_rational(args.t2),
         parse_rational(args.x2), parse_rational(args.x1),
         planck=parse_rational(args.planck), order=order)
-    _emit("product", {"model": model.label, "report": product.to_json()})
+    _emit("product", {"model": model.label, "report": product})
     return 0
 
 
@@ -271,11 +272,7 @@ def cmd_suite(args) -> int:
         results = run_all(seed=args.seed)
     else:
         results = [run_suite(args.name, seed=args.seed, cases=args.cases)]
-    _emit("suite", {
-        "name": args.name,
-        "seed": args.seed,
-        "results": [result.to_json() for result in results],
-    })
+    _emit("suite", {"name": args.name, "seed": args.seed, "results": results})
     return 0 if all(result.passed for result in results) else 1
 
 

@@ -208,9 +208,6 @@ class HalfPower:
             return HalfPower(self.base, self.exponent + other.exponent)
         raise ValueError("cannot merge half powers with different bases")
 
-    def to_json(self) -> dict:
-        return {"base": frac_str(self.base), "exponent": frac_str(self.exponent)}
-
 
 @dataclass(frozen=True)
 class PAdicApprox:
@@ -279,6 +276,25 @@ def canonical_expansion(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS)
     return PAdicApprox(p, v, _digits_of(r, p, digits))
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime p, by Tonelli-Shanks."""
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # the least quadratic non-residue
+        z += 1
+    c, t, root = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    while t != 1:
+        order, t_pow = 0, t  # t has multiplicative order 2^order < 2^twos
+        while t_pow != 1:
+            t_pow, order = t_pow * t_pow % p, order + 1
+        b = pow(c, 1 << (twos - order - 1), p)
+        twos, c = order, b * b % p
+        t, root = t * c % p, root * b % p
+    return root
+
+
 def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdicApprox | None:
     """A square root of x in Q_p to ``digits`` digits, or None if none exists.
 
@@ -314,7 +330,7 @@ def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdic
         u0 = unit.numerator * pow(unit.denominator, -1, p) % p
         if pow(u0, (p - 1) // 2, p) != 1:
             return None
-        root = next(r for r in range(1, p) if r * r % p == u0)
+        root = _sqrt_mod_prime(u0, p)
         k = 1
         while k < digits:
             k = min(2 * k, digits)

@@ -28,7 +28,6 @@ from .exact_numbers import (
     UnitPhase,
     _require_prime,
     chi,
-    frac_str,
     omega,
     padic_norm,
     padic_valuation,
@@ -76,13 +75,12 @@ class AmplitudeValue:
         return self.magnitude.value() * (self.lambda_factor * self.phase).to_complex()
 
     def to_json(self) -> dict:
-        v = self.value
         return {
             "branch": self.branch,
-            "magnitude": None if self.magnitude is None else self.magnitude.to_json(),
-            "phase_angle": frac_str(self.phase.angle),
-            "lambda_angle": frac_str(self.lambda_factor.angle),
-            "value": {"re": v.real, "im": v.imag},
+            "magnitude": self.magnitude,
+            "phase_angle": self.phase.angle,
+            "lambda_angle": self.lambda_factor.angle,
+            "value": self.value,
         }
 
 

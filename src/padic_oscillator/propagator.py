@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .classical_oscillator import (
@@ -104,6 +105,20 @@ class QuadraticKernel:
         return (self.coef_out * x_out * x_out + self.coef_cross * x_out * x_in
                 + self.coef_in * x_in * x_in)
 
+    @cached_property
+    def lambda_factor(self) -> UnitPhase:
+        """lambda_v(-B/2h), computed once: it does not depend on x_out or x_in."""
+        arg = -self.coef_cross / (2 * self.planck)
+        return lambda_real(arg) if self.place == REAL_PLACE else lambda_p(arg, self.place)
+
+    @cached_property
+    def norm(self) -> HalfPower:
+        """|B/h|_v^(1/2), computed once: it does not depend on x_out or x_in."""
+        scale = self.coef_cross / self.planck
+        if self.place == REAL_PLACE:
+            return HalfPower(abs(scale), Fraction(1, 2))
+        return HalfPower(Fraction(self.place), Fraction(-padic_valuation(scale, self.place), 2))
+
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -118,12 +133,11 @@ class KernelValue:
         return self.norm.value() * (self.lambda_factor * self.phase).to_complex()
 
     def to_json(self) -> dict:
-        value = self.complex_value
         return {
-            "lambda_angle": f"{self.lambda_factor.angle.numerator}/{self.lambda_factor.angle.denominator}",
-            "norm": self.norm.to_json(),
-            "phase_angle": f"{self.phase.angle.numerator}/{self.phase.angle.denominator}",
-            "value": {"re": value.real, "im": value.imag},
+            "lambda_angle": self.lambda_factor.angle,
+            "norm": self.norm,
+            "phase_angle": self.phase.angle,
+            "value": self.complex_value,
         }
 
 
@@ -172,21 +186,16 @@ def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
 
 
 def evaluate_kernel(kernel: QuadraticKernel, x_out, x_in) -> KernelValue:
-    """Exact factor decomposition of K(x_out, x_in) at the kernel's place."""
-    action = kernel.action(x_out, x_in)
-    scaled_action = action / kernel.planck
-    lam_arg = -kernel.coef_cross / (2 * kernel.planck)
-    cross_scale = kernel.coef_cross / kernel.planck
+    """Exact factor decomposition of K(x_out, x_in) at the kernel's place.
+
+    The kernel's own lambda factor and norm times chi_v(-S(x_out, x_in)/h).
+    """
+    scaled_action = kernel.action(x_out, x_in) / kernel.planck
     if kernel.place == REAL_PLACE:
-        lam = lambda_real(lam_arg)
-        norm = HalfPower(abs(cross_scale), Fraction(1, 2))
         phase = UnitPhase(scaled_action)  # chi_real(-S/h) = exp(+2 pi i S/h)
     else:
-        p = kernel.place
-        lam = lambda_p(lam_arg, p)
-        norm = HalfPower(Fraction(p), Fraction(-padic_valuation(cross_scale, p), 2))
-        phase = chi(-scaled_action, p)
-    return KernelValue(lam, norm, phase)
+        phase = chi(-scaled_action, kernel.place)
+    return KernelValue(kernel.lambda_factor, kernel.norm, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +244,8 @@ def compose_oracle(late: QuadraticKernel, early: QuadraticKernel,
         ]
     samples = tuple((Fraction(a), Fraction(b)) for a, b in samples)
     base_exp = padic_valuation(4 * alpha, p) // 2 + 1
-    outer_late = evaluate_kernel(late, 0, 0)
-    outer_early = evaluate_kernel(early, 0, 0)
-    prefactor = (outer_late.norm.value() * outer_early.norm.value()
-                 * (outer_late.lambda_factor * outer_early.lambda_factor).to_complex())
+    prefactor = (late.norm.value() * early.norm.value()
+                 * (late.lambda_factor * early.lambda_factor).to_complex())
     worst = 0.0
     depth_used = 0
     exponents = []

@@ -56,17 +56,6 @@ class SuiteResult:
     failures: tuple
     detail: Mapping[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "cases": self.cases,
-            "skipped": self.skipped,
-            "max_deviation": self.max_deviation,
-            "failures": list(self.failures),
-            "detail": {k: self.detail[k] for k in sorted(self.detail)},
-        }
-
 
 _FAILURE_LIMIT = 12
 
@@ -376,6 +365,8 @@ SUITE_ORDER = tuple(SUITES)
 def run_suite(name: str, seed: int = 0, cases: Optional[int] = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)}")
+    if cases is not None and cases < 1:
+        raise ValueError(f"a suite needs at least one case, got {cases}")
     return SUITES[name](seed, cases)
 
 

@@ -1,6 +1,7 @@
 """Multi-place assembly: adeles, vacuum invariance, products, discreteness."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from padic_oscillator.errors import (
     PrimeCutoffError,
     VacuumAbsentError,
 )
-from padic_oscillator.exact_numbers import fractional_part
+from padic_oscillator.exact_numbers import fractional_part, primes_upto
 from padic_oscillator.propagator import REAL_PLACE, evaluate_kernel, oscillator_kernel
 
 F = Fraction
@@ -53,7 +54,7 @@ def test_adele_requires_exception_listing_for_large_components():
     ok = Adele(F(0), {5: F(1, 5)}, exception_set=frozenset({5}))
     assert ok.norm_at(5) == 5
     payload = ok.to_json()
-    assert payload["S"] == [5] and payload["exceptions"] == {"5": "1/5"}
+    assert payload["S"] == [5] and payload["exceptions"] == {"5": F(1, 5)}
 
 
 @given(st.integers(-40, 40), st.sampled_from([2, 3, 5, 7]))
@@ -88,6 +89,39 @@ def test_indicator_product_matches_integrality(num, den):
     got = omega_product(x, 100)
     assert got.value == (1 if x.denominator == 1 else 0)
     assert all(x.denominator % p == 0 for p in got.vanishing_primes)
+
+
+def _sieve_omega(den: int, cutoff: int):
+    """Reference: divide den by every prime up to the cutoff, taken from a sieve."""
+    vanishing = []
+    for p in primes_upto(cutoff):
+        if den % p == 0:
+            vanishing.append(p)
+            while den % p == 0:
+                den //= p
+    return tuple(vanishing), den
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**7), st.integers(2, 3000))
+@settings(max_examples=150, deadline=None)
+def test_indicator_product_equals_the_sieve_reference(num, den, cutoff):
+    x = F(num, den)
+    vanishing, residual = _sieve_omega(x.denominator, cutoff)
+    if residual > 1:
+        with pytest.raises(PrimeCutoffError, match=f"keeps a factor {residual} with no prime"):
+            omega_product(x, cutoff)
+    else:
+        got = omega_product(x, cutoff)
+        assert (got.value, got.vanishing_primes) == (int(x.denominator == 1), vanishing)
+
+
+def test_indicator_product_at_a_cutoff_of_ten_to_the_nine_builds_no_sieve():
+    start = time.perf_counter()
+    rows = discreteness_profile(vacuum_state(F(1), F(1)), [F(0), F(1), F(1, 2), F(3, 2), F(2)],
+                                prime_cutoff=10**9)
+    assert omega_product(F(1, 6 * 1000003), 10**9).vanishing_primes == (2, 3, 1000003)
+    assert time.perf_counter() - start < 2
+    assert [row["vanishing_primes"] for row in rows] == [[], [], [2], [2], []]
 
 
 # -- vacuum invariance ------------------------------------------------------
@@ -201,6 +235,15 @@ def test_product_requires_unit_wronskian():
     with pytest.raises(ValueError):
         adelic_propagator_product((3,), preset_constant(3, order=12),
                                   F(0), F(1), F(0), F(0))
+
+
+def test_product_counts_a_repeated_place_once():
+    model = parse_preset("example1(1,1)", order=12)
+    once = adelic_propagator_product((3,), model, F(0), F(105), F(2), F(1), order=12)
+    twice = adelic_propagator_product((3, REAL_PLACE, 3, REAL_PLACE), model, F(0), F(105),
+                                      F(2), F(1), order=12)
+    assert twice.places == (REAL_PLACE, 3)
+    assert twice.factors[1:] == once.factors and twice.factors[1].phase.angle == F(2, 3)
 
 
 def test_product_over_no_places_is_one():

@@ -1,14 +1,21 @@
 """End-to-end command line checks through real subprocesses."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+
+from padic_oscillator import cli
+from padic_oscillator.exact_numbers import HalfPower
+from padic_oscillator.propagator import QuadraticKernel, evaluate_kernel
+from padic_oscillator.suites import run_suite
 
 BASE = [sys.executable, "-m", "padic_oscillator.cli"]
 
@@ -23,6 +30,32 @@ def run_json(*argv):
     payload = json.loads(proc.stdout)
     assert payload["schema"] == "padic-oscillator/1"
     return payload
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: HalfPower
+    items: tuple
+
+
+def test_emit_renders_every_value_through_one_encoder(capsys):
+    kernel_value = evaluate_kernel(QuadraticKernel.free(5, 1), Fraction(1, 5), 0)
+    cli._emit("probe", {"zero": Fraction(0), "neg": Fraction(-7, 3), "z": complex(0.5, -2),
+                        "nested": _Outer(HalfPower(3, Fraction(-1, 2)), (Fraction(2), 1j)),
+                        "kernel_value": kernel_value})
+    text = capsys.readouterr().out
+    assert '"zero": "0/1"' in text and '"neg": "-7/3"' in text
+    doc = json.loads(text)
+    assert doc["z"] == {"re": 0.5, "im": -2.0}
+    assert doc["nested"] == {"inner": {"base": "3/1", "exponent": "-1/2"},
+                             "items": ["2/1", {"re": 0.0, "im": 1.0}]}
+    # a to_json method chooses the keys even on a dataclass
+    assert doc["kernel_value"] == {
+        "lambda_angle": "0/1", "norm": {"base": "5/1", "exponent": "0/1"},
+        "phase_angle": "12/25", "value": {"re": kernel_value.complex_value.real,
+                                          "im": kernel_value.complex_value.imag}}
+    with pytest.raises(TypeError):
+        cli._emit("probe", {"unknown": object()})
 
 
 def test_gauss_deep_pole_example():
@@ -229,6 +262,23 @@ def test_product_three_places():
     assert abs(report["product"]["im"] - 0.5) < 1e-12
 
 
+def test_product_counts_a_repeated_place_once():
+    window = ("--preset", "example1(1,1)", "--t1", "0", "--t2", "105", "--x1", "1", "--x2", "2")
+    once, twice = run_cli("product", "--places", "3", *window), \
+        run_cli("product", "--places", "3,3", *window)
+    assert once.returncode == twice.returncode == 0
+    assert twice.stdout == once.stdout
+    report = json.loads(twice.stdout)["report"]
+    assert report["places"] == ["3"] and report["phase_angle"] == "11/12"
+
+
+def test_product_over_the_empty_place_set_is_one():
+    report = run_json("product", "--places", "", "--preset", "example1(1,1)", "--t1", "0",
+                      "--t2", "105", "--x1", "1", "--x2", "2")["report"]
+    assert report["places"] == [] and report["factors"] == {}
+    assert report["phase_angle"] == "0/1" and report["product"] == {"re": 1.0, "im": 0.0}
+
+
 def test_product_wronskian_guard_is_usage_error():
     proc = run_cli("product", "--places", "3", "--preset", "constant(3)",
                    "--t1", "0", "--t2", "1")
@@ -245,6 +295,16 @@ def test_single_suites_pass(name):
     payload = run_json("suite", name, "--seed", "1")
     assert payload["name"] == name
     assert all(entry["passed"] for entry in payload["results"])
+
+
+@pytest.mark.parametrize("name", ["ultrametric", "composition", "vacuum"])
+@pytest.mark.parametrize("cases", [0, -3])
+def test_suite_needs_at_least_one_case(name, cases):
+    with pytest.raises(ValueError, match="at least one case"):
+        run_suite(name, cases=cases)
+    proc = run_cli("suite", name, "--cases", str(cases))
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert "at least one case" in proc.stderr
 
 
 def test_suite_output_is_deterministic():

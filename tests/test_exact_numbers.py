@@ -1,5 +1,6 @@
 """Scalar layer: norms, characters, expansions, square roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,39 @@ def test_square_of_returned_root_recovers_input(p, n):
     root = padic_sqrt(x, p, digits=10)
     assert root is not None
     assert padic_norm(root.to_rational() ** 2 - x, p) <= Fraction(1, p**8)
+
+
+def _scan_sqrt_digits(u: int, p: int, digits: int):
+    """Reference for odd p: the root mod p by scanning, lifted by Newton steps."""
+    if pow(u, (p - 1) // 2, p) != 1:
+        return None
+    root = next(r for r in range(1, p) if r * r % p == u)
+    k = 1
+    while k < digits:
+        k = min(2 * k, digits)
+        modulus = p**k
+        root = (root + u * pow(root, -1, modulus)) * pow(2, -1, modulus) % modulus
+    if root % p > (p - 1) // 2:
+        root = p**digits - root
+    return tuple(root // p**i % p for i in range(digits))
+
+
+def test_square_root_equals_the_scan_reference_for_every_unit_below_200():
+    for p in primes_upto(199)[1:]:
+        for u in range(1, p):
+            root = padic_sqrt(u, p, digits=5)
+            expected = _scan_sqrt_digits(u, p, 5)
+            assert (None if root is None else root.digits) == expected, (u, p)
+
+
+@pytest.mark.parametrize("p", [1000000000039, 1000000000121])  # 3 mod 4 and 1 mod 8
+def test_square_root_at_a_thirteen_digit_prime_is_fast(p):
+    small = p // 3  # a scan for the root mod p would run p/3 steps
+    start = time.perf_counter()
+    root = padic_sqrt(small * small, p)
+    assert time.perf_counter() - start < 1
+    assert root.valuation == 0 and root.digits[0] == small
+    assert padic_norm(root.to_rational() ** 2 - small * small, p) <= Fraction(1, p**32)
 
 
 def test_unit_phase_group_laws():

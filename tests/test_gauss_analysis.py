@@ -249,6 +249,6 @@ def test_magnitude_never_depends_on_the_unit(p, v, unit):
 def test_json_payload_carries_exact_factors():
     payload = gauss_closed_form(GaussIntegralSpec(3, Fraction(1, 3), Fraction(0))).to_json()
     assert payload["branch"] == 2
-    assert payload["lambda_angle"] == "1/4"
-    assert payload["phase_angle"] == "0/1"
+    assert payload["lambda_angle"] == Fraction(1, 4)
+    assert payload["phase_angle"] == Fraction(0)
     assert isinstance(gauss_closed_form(GaussIntegralSpec(3, Fraction(3), Fraction(0))), AmplitudeValue)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_oscillator import cli
+from padic_oscillator import cli, propagator
 from padic_oscillator.classical_oscillator import (
     endpoint_data,
     parse_preset,
@@ -75,7 +75,7 @@ def test_padic_kernel_norm_and_phase_are_exact():
     assert kv.norm.exponent == 0 and kv.norm.value() == 1
     assert kv.lambda_factor.angle == 0
     payload = kv.to_json()
-    assert payload["phase_angle"] == "12/25"
+    assert payload["phase_angle"] == F(12, 25) and payload["norm"] is kv.norm
 
 
 def test_real_kernel_value_splits_magnitude_and_eighth_root():
@@ -122,6 +122,25 @@ def test_oscillator_composition_closes_at_small_frequency():
     direct = oscillator_kernel(3, model, F(0), F(1), order=16)
     report = compose_oracle(late, early, direct)
     assert report.max_deviation < 1e-9
+
+
+def test_composition_oracle_takes_each_kernels_factors_once(monkeypatch):
+    calls = []
+    lambda_p = propagator.lambda_p
+
+    def counted(alpha, p):
+        calls.append(p)
+        return lambda_p(alpha, p)
+
+    monkeypatch.setattr(propagator, "lambda_p", counted)
+    model = preset_constant(3, order=16)
+    late = oscillator_kernel(3, model, F(1, 2), F(1), order=16)
+    early = oscillator_kernel(3, model, F(0), F(1, 2), order=16)
+    direct = oscillator_kernel(3, model, F(0), F(1), order=16)
+    report = compose_oracle(late, early, direct)
+    assert len(report.samples) == 7 and calls == [3, 3, 3]
+    assert evaluate_kernel(direct, F(1), F(2)).lambda_factor is direct.lambda_factor
+    assert calls == [3, 3, 3]
 
 
 def test_composition_oracle_rejects_mixed_places():
