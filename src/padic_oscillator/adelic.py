@@ -32,6 +32,7 @@ from .errors import (
     VacuumAbsentError,
 )
 from .exact_numbers import (
+    MILLER_RABIN_BOUND,
     _require_prime,
     chi,
     frac_str,
@@ -39,6 +40,7 @@ from .exact_numbers import (
     omega,
     padic_norm,
     padic_valuation,
+    prime_divisors,
     prime_power,
 )
 from .gauss_analysis import GaussIntegralSpec, gauss_brute_force, gauss_closed_form
@@ -230,8 +232,9 @@ def omega_product(x, prime_cutoff: int) -> OmegaProduct:
     while d <= cutoff and d^2 <= residual must leave 1 or a prime residual
     no larger than the cutoff — a larger leftover means some prime above
     the cutoff also kills the product and the finite inspection cannot
-    certify it: PrimeCutoffError.  No sieve is built, so the work is at
-    most min(cutoff, sqrt(denominator)) divisions.
+    certify it: PrimeCutoffError.  No sieve is built.  At d = 64, a residual n
+    below MILLER_RABIN_BOUND is split by Pollard-Brent rho instead when its
+    n^(1/4) steps beat the cutoff's divisions.
     """
     x = Fraction(x)
     if prime_cutoff < 2:
@@ -240,6 +243,12 @@ def omega_product(x, prime_cutoff: int) -> OmegaProduct:
     vanishing = []
     d = 2
     while d <= prime_cutoff and d * d <= residual:
+        if d == 64 and prime_cutoff**4 > residual and residual < MILLER_RABIN_BOUND:
+            for q in sorted(prime_divisors(residual)):  # all above 63, as d < 64 is done
+                if q <= prime_cutoff:
+                    vanishing.append(q)
+                    residual //= q ** padic_valuation(residual, q)
+            break
         if residual % d == 0:
             vanishing.append(d)
             while residual % d == 0:

@@ -16,20 +16,24 @@ Conventions
   an exact angle.  The real-place character ``exp(-2*pi*i*u)`` is
   handled by the propagator layer with the same :class:`UnitPhase`
   container.
+
+The scalar functions work on integer numerators and denominators: an
+``int`` input builds no ``Fraction``, the prime check looks in a cache
+first, and the norms 0 and 1 are shared ``Fraction`` constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 #: default digit count for canonical expansions and square roots
 DEFAULT_DIGITS = 32
 
 _PRIME_CACHE: set[int] = set()
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 #: the first 13 primes; as Miller-Rabin bases they decide primality exactly
 #: below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -76,6 +80,41 @@ def is_prime(n: int) -> bool:
     return prime
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 64, by Pollard-Brent
+    rho (Brent, BIT 20, 1980): one gcd per 64 steps of y -> y^2 + c, c = 1, 2, ..."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 64):
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g < n:
+            return g
+
+
+def prime_divisors(n: int) -> set[int]:
+    """The primes dividing 1 < n < MILLER_RABIN_BOUND, none of them below 64."""
+    if is_prime(n):
+        return {n}
+    d = _rho_divisor(n)
+    return prime_divisors(d) | prime_divisors(n // d)
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, by sieve."""
     if limit < 2:
@@ -85,12 +124,27 @@ def primes_upto(limit: int) -> list[int]:
     for q in range(2, int(limit**0.5) + 1):
         if flags[q]:
             flags[q * q :: q] = bytearray(len(flags[q * q :: q]))
-    return [q for q in range(limit + 1) if flags[q]]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def _require_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    # isinstance first: 3.0 in {3} is true
+    if not (isinstance(p, int) and (p in _PRIME_CACHE or is_prime(p))):
         raise ValueError(f"not a prime: {p!r}")
+
+
+def _unit_part(x: Fraction | int, p: int) -> tuple[int | float, int, int]:
+    """(v, a, b) with x = p**v * a/b, a and b prime to p, or (inf, 0, 1) for 0; no Fraction built."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    if num == 0:
+        return math.inf, 0, 1
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v, num, den
 
 
 def prime_power(p: int, k: int) -> Fraction:
@@ -101,42 +155,26 @@ def prime_power(p: int, k: int) -> Fraction:
 def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """Exponent of p in x; +inf for x == 0."""
     _require_prime(p)
-    x = Fraction(x)
-    if x == 0:
-        return math.inf
-    v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _unit_part(x, p)[0]
 
 
 def padic_norm(x: Fraction | int, p: int) -> Fraction:
     """|x|_p as an exact Fraction (a power of p, or 0 for x == 0)."""
     v = padic_valuation(x, p)
-    if v == math.inf:
-        return Fraction(0)
-    return prime_power(p, -int(v))
+    if v == 0:
+        return _ONE
+    return _ZERO if v == math.inf else prime_power(p, -v)
 
 
 def fractional_part(u: Fraction | int, p: int) -> Fraction:
     """{u}_p: the p-power-denominator representative of u modulo Z_p in [0, 1)."""
-    u = Fraction(u)
-    v = padic_valuation(u, p)
-    if v >= 0:  # covers u == 0, where v is +inf
-        return Fraction(0)
-    m = -int(v)
-    pm = p**m
-    unit = u * pm  # numerator and denominator now both coprime to p
-    k = unit.numerator * pow(unit.denominator, -1, pm) % pm
-    return Fraction(k, pm)
+    if not isinstance(u, (int, Fraction)):
+        u = Fraction(u)
+    _require_prime(p)
+    num, den, pm = u.numerator, u.denominator, 1
+    while den % p == 0:  # keeps u = num / (den * pm); den ends prime to p
+        den, pm = den // p, pm * p
+    return _ZERO if pm == 1 else Fraction(num * pow(den, -1, pm) % pm, pm)
 
 
 def omega(norm: Fraction | int) -> int:
@@ -155,7 +193,9 @@ class UnitPhase:
     angle: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", Fraction(self.angle) % 1)
+        angle = self.angle
+        if not (type(angle) is Fraction and 0 <= angle.numerator < angle.denominator):
+            object.__setattr__(self, "angle", Fraction(angle) % 1)
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.angle + other.angle)
@@ -188,8 +228,9 @@ class HalfPower:
     exponent: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", Fraction(self.base))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if type(self.base) is not Fraction or type(self.exponent) is not Fraction:
+            object.__setattr__(self, "base", Fraction(self.base))
+            object.__setattr__(self, "exponent", Fraction(self.exponent))
         if self.exponent.denominator not in (1, 2):
             raise ValueError("exponent must be integer or half-integer")
         if self.base <= 0:
@@ -266,13 +307,11 @@ def canonical_expansion(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS)
     _require_prime(p)
     if digits < 1:
         raise ValueError("need at least one digit")
-    x = Fraction(x)
-    if x == 0:
+    v, num, den = _unit_part(x, p)
+    if num == 0:
         return PAdicApprox(p, 0, (0,) * digits)
-    v = int(padic_valuation(x, p))
-    unit = x / prime_power(p, v)
     m = p**digits
-    r = unit.numerator * pow(unit.denominator, -1, m) % m
+    r = num * pow(den, -1, m) % m
     return PAdicApprox(p, v, _digits_of(r, p, digits))
 
 
@@ -305,18 +344,16 @@ def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdic
     congruent 1 mod 4.
     """
     _require_prime(p)
-    x = Fraction(x)
-    if x == 0:
+    v, num, den = _unit_part(x, p)  # the unit part is num / den
+    if num == 0:
         raise ValueError("zero has no unit digit expansion")
-    v = padic_valuation(x, p)
     if v % 2:
         return None
-    unit = x / prime_power(p, int(v))
 
     if p == 2:
         work = digits + 2
         modulus = 1 << work
-        u = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+        u = num * pow(den, -1, modulus) % modulus
         if u % 8 != 1:
             return None
         root = 1
@@ -327,7 +364,7 @@ def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdic
             root = modulus - root
         root %= 1 << digits
     else:
-        u0 = unit.numerator * pow(unit.denominator, -1, p) % p
+        u0 = num * pow(den, -1, p) % p
         if pow(u0, (p - 1) // 2, p) != 1:
             return None
         root = _sqrt_mod_prime(u0, p)
@@ -335,12 +372,12 @@ def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdic
         while k < digits:
             k = min(2 * k, digits)
             modulus = p**k
-            u = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+            u = num * pow(den, -1, modulus) % modulus
             root = (root + u * pow(root, -1, modulus)) * pow(2, -1, modulus) % modulus
         if root % p > (p - 1) // 2:
             root = p**digits - root
 
-    return PAdicApprox(p, int(v) // 2, _digits_of(root, p, digits))
+    return PAdicApprox(p, v // 2, _digits_of(root, p, digits))
 
 
 def real_norm(x: Fraction | int) -> Fraction:

@@ -27,6 +27,7 @@ from .exact_numbers import (
     HalfPower,
     UnitPhase,
     _require_prime,
+    _unit_part,
     chi,
     omega,
     padic_norm,
@@ -238,13 +239,11 @@ def lambda_p(alpha: Fraction, p: int) -> UnitPhase:
     with the sign (-1)^a1, times (-1)^(a1 + a2) when v is odd.
     """
     _require_prime(p)
-    alpha = Fraction(alpha)
-    if alpha == 0:
+    v_alpha, num, den = _unit_part(alpha, p)  # the unit is num / den
+    if num == 0:
         return PHASE_ONE
-    v_alpha = padic_valuation(alpha, p)
-    unit = alpha / prime_power(p, v_alpha)
     if p == 2:
-        u = _mod_reduce(unit, 8)
+        u = num * pow(den, -1, 8) % 8
         a1, a2 = (u >> 1) & 1, (u >> 2) & 1
         angle = Fraction(-1 if a1 else 1, 8)
         if v_alpha % 2:
@@ -252,5 +251,5 @@ def lambda_p(alpha: Fraction, p: int) -> UnitPhase:
         return UnitPhase(angle)
     if v_alpha % 2 == 0:
         return PHASE_ONE
-    residue = pow(_mod_reduce(unit, p), (p - 1) // 2, p) == 1
+    residue = pow(num * pow(den, -1, p) % p, (p - 1) // 2, p) == 1
     return UnitPhase(Fraction(0 if residue else 1, 2) + Fraction(p % 4 == 3, 4))

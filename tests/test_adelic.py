@@ -1,6 +1,7 @@
 """Multi-place assembly: adeles, vacuum invariance, products, discreteness."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -113,6 +114,46 @@ def test_indicator_product_equals_the_sieve_reference(num, den, cutoff):
     else:
         got = omega_product(x, cutoff)
         assert (got.value, got.vanishing_primes) == (int(x.denominator == 1), vanishing)
+
+
+def _trial_division_omega(den: int, cutoff: int):
+    """Reference: trial division by d = 2, 3, ... while d <= cutoff and d^2 <= the residual."""
+    vanishing, d = [], 2
+    while d <= cutoff and d * d <= den:
+        if den % d == 0:
+            vanishing.append(d)
+            while den % d == 0:
+                den //= d
+        d += 1
+    if 1 < den <= cutoff:
+        vanishing.append(den)
+        den = 1
+    return tuple(vanishing), den
+
+
+def test_indicator_product_equals_trial_division_on_a_seeded_sweep():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**8))
+        cutoff = rng.choice([rng.randint(2, 100), rng.randint(2, 10**4)])
+        vanishing, residual = _trial_division_omega(x.denominator, cutoff)
+        if residual > 1:
+            with pytest.raises(PrimeCutoffError, match=f"keeps a factor {residual} with no prime"):
+                omega_product(x, cutoff)
+        else:
+            got = omega_product(x, cutoff)
+            assert (got.value, got.vanishing_primes) == (int(x.denominator == 1), vanishing), x
+
+
+def test_indicator_product_splits_products_of_large_primes():
+    p, q, r = 1000003, 999999937, 10**9 + 7
+    assert omega_product(F(1, 2 * p * q**2), 10**9).vanishing_primes == (2, p, q)
+    with pytest.raises(PrimeCutoffError, match=f"keeps a factor {q * r} with no prime"):
+        omega_product(F(5, 6 * q * r), 10**7)
+    assert omega_product(F(1, p * q * r), r).vanishing_primes == (p, q, r)
+    # the denominator is above MILLER_RABIN_BOUND, the residual left after d = 2..63 is not
+    with pytest.raises(PrimeCutoffError, match=f"keeps a factor {q * r} with no prime"):
+        omega_product(F(1, 2**90 * 3 * q * r), 10**8)
 
 
 def test_indicator_product_at_a_cutoff_of_ten_to_the_nine_builds_no_sieve():

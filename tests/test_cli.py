@@ -253,6 +253,24 @@ def test_discreteness_cutoff_failure_exit_code():
     assert proc.returncode == 7
 
 
+@pytest.mark.parametrize("denominator, cutoff", [
+    ((10**9 + 7) * (10**9 + 9), 10**8),  # two primes above the cutoff: 10^8 trial divisions
+    (10**18 + 3, 10**8),  # a prime above the cutoff
+])
+def test_discreteness_cutoff_failure_is_fast_for_large_prime_factors(denominator, cutoff):
+    start = time.perf_counter()
+    proc = run_cli("discreteness", "--xs", f"1/{denominator}", "--cutoff", str(cutoff))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 7
+    assert f"keeps a factor {denominator} with no prime divisor <= {cutoff}" in proc.stderr
+
+
+def test_discreteness_lists_an_eighteen_digit_prime_within_the_cutoff():
+    prime = 10**18 + 3
+    payload = run_json("discreteness", "--xs", f"1/{prime}", "--cutoff", str(prime))
+    assert payload["rows"][0]["vanishing_primes"] == [prime]
+
+
 def test_product_three_places():
     payload = run_json("product", "--places", "real,3,5", "--preset", "free",
                        "--t1", "0", "--t2", "2", "--x1", "1", "--x2", "4")

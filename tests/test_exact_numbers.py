@@ -1,5 +1,7 @@
 """Scalar layer: norms, characters, expansions, square roots."""
 
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_oscillator import exact_numbers
+from padic_oscillator.gauss_analysis import lambda_p
 from padic_oscillator.exact_numbers import (
     HalfPower,
     PHASE_ONE,
@@ -217,3 +220,86 @@ def test_is_prime_refuses_to_guess_beyond_the_exact_bound():
         is_prime(2**89 - 1)
     with pytest.raises(ValueError):
         is_prime(exact_numbers.MILLER_RABIN_BOUND)
+
+
+# -- the integer path against the Fraction-only reference -------------------
+
+
+def _reference_valuation(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _reference_norm(x, p):
+    v = _reference_valuation(x, p)
+    return Fraction(0) if v == math.inf else Fraction(p) ** -v
+
+
+def _reference_fractional_part(u, p):
+    u = Fraction(u)
+    v = _reference_valuation(u, p)
+    if v >= 0:
+        return Fraction(0)
+    pm = p**-v
+    unit = u * pm
+    return Fraction(unit.numerator * pow(unit.denominator, -1, pm) % pm, pm)
+
+
+def _reference_lambda_angle(alpha, p):
+    alpha = Fraction(alpha)
+    if alpha == 0:
+        return Fraction(0)
+    v = _reference_valuation(alpha, p)
+    unit = alpha / Fraction(p) ** v
+    if p == 2:
+        u = unit.numerator * pow(unit.denominator, -1, 8) % 8
+        a1, a2 = (u >> 1) & 1, (u >> 2) & 1
+        angle = Fraction(-1 if a1 else 1, 8) + (Fraction(a1 + a2, 2) if v % 2 else 0)
+        return angle % 1
+    if v % 2 == 0:
+        return Fraction(0)
+    residue = pow(unit.numerator * pow(unit.denominator, -1, p) % p, (p - 1) // 2, p) == 1
+    return (Fraction(0 if residue else 1, 2) + Fraction(p % 4 == 3, 4)) % 1
+
+
+def _scalar_inputs(rng, p):
+    """ints, bools, zero, negatives, large values, Fractions and exact floats, some divisible by p."""
+    power = p ** rng.randint(0, 4)
+    num, den = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+    big = rng.randint(10**30, 10**40) * power
+    return [0, True, False, num, -abs(num) * power, big, -big,
+            Fraction(num * power, den), Fraction(num, den * power), Fraction(big, den * power),
+            rng.randint(-2**20, 2**20) / 2 ** rng.randint(0, 12), float(num * power)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 10**9 + 7])
+def test_scalar_functions_equal_the_fraction_reference(p):
+    rng = random.Random(p)
+    for _ in range(150):
+        for x in _scalar_inputs(rng, p):
+            assert padic_valuation(x, p) == _reference_valuation(x, p), (x, p)
+            assert padic_norm(x, p) == _reference_norm(x, p), (x, p)
+            assert fractional_part(x, p) == _reference_fractional_part(x, p), (x, p)
+            assert lambda_p(x, p).angle == _reference_lambda_angle(x, p), (x, p)
+
+
+def test_norms_are_fractions_also_for_zero_and_units():
+    for x in (0, Fraction(0), 0.0, 5, Fraction(7, 11), 1.5, 9, Fraction(1, 27), 3**40):
+        assert type(padic_norm(x, 3)) is Fraction
+    assert padic_norm(0, 3) == 0 and padic_norm(Fraction(7, 11), 3) == 1
+    assert padic_norm(Fraction(1, 27), 3) == 27 and padic_norm(3**40, 3) == Fraction(1, 3**40)
+
+
+def test_cached_prime_does_not_admit_equal_non_integers():
+    assert is_prime(3)  # 3 is now cached, and 3.0 == Fraction(3) == 3
+    for p in (3.0, True, Fraction(3), 4, -3):
+        for call in (padic_valuation, padic_norm, fractional_part, lambda_p):
+            with pytest.raises(ValueError, match="not a prime"):
+                call(Fraction(1, 9), p)
