@@ -55,6 +55,7 @@ from .errors import (
     CausticError,
     DepthTooSmallError,
     DivergenceError,
+    MagnitudeOverflowError,
     NormalizationError,
     OracleBudgetError,
     PadicOscillatorError,

@@ -8,7 +8,8 @@ both directions — no floating-point input on exact paths.
 Exit codes: 0 success; 1 suite failure; 3 oracle depth too small;
 4 caustic endpoints; 5 divergent series evaluation; 6 unstable phase
 precision; 7 prime cutoff too small; 8 non-normalized factor; 9 oracle
-sample count above its budget; 64 usage errors.
+sample count above its budget; 10 magnitude too large for a float;
+64 usage errors.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
     CausticError,
     DepthTooSmallError,
     DivergenceError,
+    MagnitudeOverflowError,
     NormalizationError,
     OracleBudgetError,
     PrecisionError,
@@ -69,6 +71,7 @@ _EXIT_BY_TYPE = {
     PrimeCutoffError: 7,
     NormalizationError: 8,
     OracleBudgetError: 9,
+    MagnitudeOverflowError: 10,
 }
 
 

@@ -16,6 +16,10 @@ class OracleBudgetError(PadicOscillatorError):
     """A brute-force coset sum would take more samples than its budget."""
 
 
+class MagnitudeOverflowError(PadicOscillatorError):
+    """A magnitude is too large to render as a float."""
+
+
 class CausticError(PadicOscillatorError):
     """The two endpoints are conjugate: sin of the phase difference vanishes."""
 

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import MagnitudeOverflowError
+
 #: default digit count for canonical expansions and square roots
 DEFAULT_DIGITS = 32
 
@@ -36,17 +38,21 @@ _PRIME_CACHE: set[int] = set()
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 #: the first 13 primes; as Miller-Rabin bases they decide primality exactly
-#: below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+#: below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017), the
+#: first 3 below 25,326,001 and the first 7 below 341,550,071,728,321
+#: (Jaeschke, Math. Comp. 61, 1993)
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES_PRODUCT = math.prod(MILLER_RABIN_BASES)
 
 
 def _passes_miller_rabin(n: int) -> bool:
-    """True when no base in MILLER_RABIN_BASES witnesses that odd n > 41 is composite."""
+    """True when no base of the set sized to n witnesses that odd n > 41 is composite."""
     odd, twos = n - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1
-    for base in MILLER_RABIN_BASES:
+    count = 3 if n < 25_326_001 else 7 if n < 341_550_071_728_321 else 13
+    for base in MILLER_RABIN_BASES[:count]:
         x = pow(base, odd, n)
         if x in (1, n - 1):
             continue
@@ -60,10 +66,12 @@ def _passes_miller_rabin(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test for n below MILLER_RABIN_BOUND; ValueError at or above it.
+    """Exact primality test for an int n below MILLER_RABIN_BOUND; ValueError otherwise.
 
     Primes found are cached, so repeated checks of one prime cost a set lookup.
     """
+    if not isinstance(n, int):  # before the lookup: 3.0 in {3} is true
+        raise ValueError(f"primality is defined for integers, not {n!r}")
     if n in _PRIME_CACHE:
         return True
     if n < 2:
@@ -71,7 +79,7 @@ def is_prime(n: int) -> bool:
     if n >= MILLER_RABIN_BOUND:
         raise ValueError(f"cannot decide whether {n} is prime: the deterministic "
                          f"Miller-Rabin test is exact only below {MILLER_RABIN_BOUND}")
-    if any(n % q == 0 for q in MILLER_RABIN_BASES):
+    if math.gcd(n, _BASES_PRODUCT) > 1:  # a factor up to 41
         prime = n in MILLER_RABIN_BASES
     else:  # no factor up to 41, so n < 43^2 is prime
         prime = n < 43 * 43 or _passes_miller_rabin(n)
@@ -237,12 +245,21 @@ class HalfPower:
             raise ValueError("base must be positive")
 
     def value(self) -> float:
-        whole = self.base ** (self.exponent.numerator // self.exponent.denominator)
-        rem = self.exponent - self.exponent.numerator // self.exponent.denominator
-        out = whole.numerator / whole.denominator
-        if rem:
-            out *= math.sqrt(self.base.numerator / self.base.denominator)
-        return out
+        """n^k / d^k for the base n/d and k = floor(exponent), times sqrt(n/d) for a
+        half-integer exponent.  From exponent * log2(base), before any power is built:
+        0.0 below 2^-1100, MagnitudeOverflowError at 2^1024 (or if base^k overflows)."""
+        num, den = self.base.numerator, self.base.denominator
+        bits = self.exponent * (math.log2(num) - math.log2(den))
+        if bits < -1100:
+            return 0.0
+        k = self.exponent.numerator // self.exponent.denominator
+        try:
+            if bits < 1024:
+                out = num**k / den**k if k >= 0 else den**-k / num**-k
+                return out * math.sqrt(num / den) if k != self.exponent else out
+        except OverflowError:
+            pass
+        raise MagnitudeOverflowError(f"{self.base}^({self.exponent}) is too large for a float")
 
     def __mul__(self, other: "HalfPower") -> "HalfPower":
         if other.base == self.base:

@@ -9,15 +9,19 @@ chi_p(alpha*x^2 + beta*x) dx two ways:
 * and an independent brute-force coset sum with exact phase bookkeeping,
   kept as the oracle for the closed form.
 
-Haar measure is normalized so the unit ball has measure 1.  The brute
-force sum reduces every phase to an exact integer k mod M = p^level and
-adds exp(2 pi i k / M) over the sample cosets in fixed-size numpy
-blocks; numpy is imported on first use.
+Haar measure is normalized so the unit ball has measure 1.  A spec reads
+alpha and beta once as integer valuations and unit parts p^v * num/den:
+branches and indicators compare valuations and phases are residues mod
+powers of p, so no p^nu is built and the ball exponent costs nothing.
+The brute force sum reduces every phase to an exact integer k mod
+M = p^level and adds exp(2 pi i k / M) over the sample cosets in
+fixed-size numpy blocks; numpy is imported on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,11 +32,6 @@ from .exact_numbers import (
     UnitPhase,
     _require_prime,
     _unit_part,
-    chi,
-    omega,
-    padic_norm,
-    padic_valuation,
-    prime_power,
 )
 
 # Cosets summed per numpy block, which bounds the oracle's memory.
@@ -51,8 +50,14 @@ class GaussIntegralSpec:
 
     def __post_init__(self) -> None:
         _require_prime(self.prime)
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        if type(self.alpha) is not Fraction or type(self.beta) is not Fraction:
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+            object.__setattr__(self, "beta", Fraction(self.beta))
+
+    @cached_property
+    def unit_parts(self) -> tuple[tuple[int | float, int, int], tuple[int | float, int, int]]:
+        """(v, num, den) of alpha and of beta, read once: x = p**v * num/den, (inf, 0, 1) for 0."""
+        return _unit_part(self.alpha, self.prime), _unit_part(self.beta, self.prime)
 
 
 @dataclass(frozen=True)
@@ -92,50 +97,65 @@ def branch_of(spec: GaussIntegralSpec) -> int:
     leave a two-valuation-wide band, v(alpha) in {2 nu - 1, 2 nu - 2}; there
     the integral is a finite dyadic sum, branch 3.
     """
-    if spec.alpha == 0:
-        return 1
-    v_alpha = padic_valuation(spec.alpha, spec.prime)
+    v_alpha = spec.unit_parts[0][0]  # inf for alpha = 0
     target = 2 * spec.ball_exponent
     if v_alpha >= target:
         return 1
-    if v_alpha + padic_valuation(4, spec.prime) < target:
+    if v_alpha + 2 * (spec.prime == 2) < target:  # v(4 alpha) < 2 nu
         return 2
     return 3
 
 
+def _residue(num: int, den: int, p: int, e: int, modulus: int) -> int:
+    """num * p^e / den mod modulus, for e >= 0 and den prime to p; 0 when num = 0."""
+    return num * pow(p, e, modulus) * pow(den, -1, modulus) % modulus if num else 0
+
+
 def gauss_closed_form(spec: GaussIntegralSpec) -> AmplitudeValue:
-    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
+    p, nu = spec.prime, spec.ball_exponent
+    (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
     branch = branch_of(spec)
     if branch == 1:
-        # ball measure times the indicator that beta pairs trivially with it
-        if omega(prime_power(p, nu) * padic_norm(beta, p)) == 0:
+        # ball measure times the indicator that beta pairs trivially with it: v(beta) >= nu
+        if v_b < nu:
             return AmplitudeValue(1, None, PHASE_ONE, PHASE_ONE)
         return AmplitudeValue(1, HalfPower(Fraction(p), Fraction(nu)), PHASE_ONE, PHASE_ONE)
     if branch == 3:
-        return _dyadic_band(alpha * prime_power(2, -2 * nu), beta * prime_power(2, -nu), nu)
-    lam = lambda_p(alpha, p)
-    if omega(prime_power(p, -nu) * padic_norm(beta / (2 * alpha), p)) == 0:
+        return _dyadic_band(spec)
+    lam = _lambda_of_unit(p, v_a, a_num, a_den)
+    v_2a = v_a + (p == 2)
+    if v_b - v_2a < -nu:  # the stationary point beta / 2 alpha lies outside the ball
         return AmplitudeValue(2, None, PHASE_ONE, lam)
-    v2a = padic_valuation(2 * alpha, p)
-    magnitude = HalfPower(Fraction(p), Fraction(v2a, 2))  # |2 alpha|_p**(-1/2)
-    phase = chi(-beta * beta / (4 * alpha), p)
+    magnitude = HalfPower(Fraction(p), Fraction(v_2a, 2))  # |2 alpha|_p**(-1/2)
+    # {-beta^2 / 4 alpha}_p = k / p^m with m = v(4 alpha) - 2 v(beta), k from the units
+    m, phase = v_2a + (p == 2) - 2 * v_b, PHASE_ONE
+    if m > 0:
+        pm, unit_4a = p**m, a_num if p == 2 else 4 * a_num  # 4 alpha = p^v * unit_4a / a_den
+        k = _residue(-b_num * b_num * a_den, unit_4a * b_den * b_den, p, 0, pm)
+        phase = UnitPhase(Fraction(k, pm))
     return AmplitudeValue(branch, magnitude, phase, lam)
 
 
-def _dyadic_band(a: Fraction, b: Fraction, nu: int) -> AmplitudeValue:
-    """Branch 3: 2^nu times the integral of chi_2(a y^2 + b y) over Z_2, v(a) in {-1, -2}.
+def _dyadic_band(spec: GaussIntegralSpec) -> AmplitudeValue:
+    """Branch 3: 2^nu times the integral of chi_2(a y^2 + b y) over Z_2, where
+    a = alpha / 4^nu, b = beta / 2^nu and v(a) in {-1, -2}.
 
     On 2Z_2 the quadratic term is 2-adically integral, and on 1 + 2Z_2 it
     is a + (integral), so the integral is 2^nu (1 + chi_2(a + b)) / 2 when
-    |2b| <= 1 and 0 otherwise.  chi_2(a + b) is a 4th root of unity.
+    |2b| <= 1 and 0 otherwise.  chi_2(a + b) = i^k with k = 4(a + b) mod 4.
     """
-    angle = chi(a + b, 2).angle
-    if padic_norm(2 * b, 2) > 1 or angle == Fraction(1, 2):
+    nu = spec.ball_exponent
+    (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
+    if v_b < nu - 1:  # |2b| > 1
         return AmplitudeValue(3, None, PHASE_ONE, PHASE_ONE)
-    if angle == 0:
+    k = (_residue(a_num, a_den, 2, v_a + 2 - 2 * nu, 4)
+         + _residue(b_num, b_den, 2, v_b + 2 - nu, 4)) % 4
+    if k == 2:
+        return AmplitudeValue(3, None, PHASE_ONE, PHASE_ONE)
+    if k == 0:
         return AmplitudeValue(3, HalfPower(Fraction(2), Fraction(nu)), PHASE_ONE, PHASE_ONE)
     # (1 +- i) / 2 = 2^(-1/2) exp(+-2 pi i / 8)
-    phase = UnitPhase(Fraction(1, 8) if angle == Fraction(1, 4) else Fraction(7, 8))
+    phase = UnitPhase(Fraction(1, 8) if k == 1 else Fraction(7, 8))
     return AmplitudeValue(3, HalfPower(Fraction(2), nu - Fraction(1, 2)), phase, PHASE_ONE)
 
 
@@ -146,20 +166,12 @@ def local_constancy_depth(spec: GaussIntegralSpec) -> int:
     <= 1 for x in the ball and eps in p^m Z_p, plus m >= -nu so the
     sample grid is at least as fine as the ball itself.
     """
-    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
-    bounds = [0, -nu]
-    if alpha:
-        v_alpha = padic_valuation(alpha, p)
-        bounds.append(nu - padic_valuation(2 * alpha, p))
-        bounds.append(-(v_alpha // 2))  # ceil(-v_alpha / 2)
-    if beta:
-        bounds.append(-padic_valuation(beta, p))
+    nu = spec.ball_exponent
+    (v_a, a_num, _), (v_b, _, _) = spec.unit_parts
+    bounds = [0, -nu, -v_b]  # -v_b is -inf for beta = 0
+    if a_num:
+        bounds += [nu - v_a - (spec.prime == 2), -(v_a // 2)]  # nu - v(2 alpha), ceil(-v_a/2)
     return max(bounds)
-
-
-def _mod_reduce(x: Fraction, modulus: int) -> int:
-    """x mod modulus for a rational with denominator prime to the modulus."""
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
 class OraclePlan(NamedTuple):
@@ -184,7 +196,7 @@ def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan
     ``depth`` defaults to the local-constancy depth; a smaller one raises
     DepthTooSmallError.
     """
-    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
+    p, nu = spec.prime, spec.ball_exponent
     floor = local_constancy_depth(spec)
     if depth is None:
         depth = floor
@@ -192,12 +204,8 @@ def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan
         raise DepthTooSmallError(
             f"depth {depth} below the local-constancy requirement {floor}"
         )
-    angle_exp = [0]
-    if alpha:
-        angle_exp.append(2 * nu - padic_valuation(alpha, p))
-    if beta:
-        angle_exp.append(nu - padic_valuation(beta, p))
-    level = max(angle_exp)
+    (v_a, _, _), (v_b, _, _) = spec.unit_parts
+    level = max(0, 2 * nu - v_a, nu - v_b)  # a zero coefficient gives -inf
     return OraclePlan(level, p**level, depth, p ** (nu + depth))
 
 
@@ -210,7 +218,8 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     so a modulus above 2^31 (int64 overflow) raises ValueError, and more
     than _BUDGET samples raise OracleBudgetError, both before any work.
     """
-    p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
+    p, nu = spec.prime, spec.ball_exponent
+    (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
     level, modulus, depth, cosets = oracle_plan(spec, depth)
     if modulus > 1 << 31:
         raise ValueError(f"oracle modulus {p}^{level} is above 2^31")
@@ -219,8 +228,8 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
         raise OracleBudgetError(f"oracle needs {count} samples, above the budget of 2^26")
 
     import numpy as np
-    a_red = _mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
-    b_red = _mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
+    a_red = _residue(a_num, a_den, p, v_a + level - 2 * nu, modulus)
+    b_red = _residue(b_num, b_den, p, v_b + level - nu, modulus)
     total = 0j
     for start in range(0, count, _BLOCK):
         j = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
@@ -239,7 +248,11 @@ def lambda_p(alpha: Fraction, p: int) -> UnitPhase:
     with the sign (-1)^a1, times (-1)^(a1 + a2) when v is odd.
     """
     _require_prime(p)
-    v_alpha, num, den = _unit_part(alpha, p)  # the unit is num / den
+    return _lambda_of_unit(p, *_unit_part(alpha, p))
+
+
+def _lambda_of_unit(p: int, v_alpha: int | float, num: int, den: int) -> UnitPhase:
+    """lambda_p of p^v_alpha * num/den."""
     if num == 0:
         return PHASE_ONE
     if p == 2:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -91,6 +92,39 @@ def test_gauss_at_a_prime_near_ten_to_the_eighteen_answers_fast():
     result = run_json("gauss", "-p", "1000000000000000003", "-a", "1/3")["closed"]
     assert time.perf_counter() - start < 5
     assert result["branch"] == 1 and result["magnitude"]["exponent"] == "0/1"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("-p 5 -a 3/25 -b 2/5 -n 0", "d41db1d847a1e062fec77f23f17af3df12f7ad6b4bd6037a0a369d3b065c8208"),
+    ("-p 2 -a 5 -b 0 -n 1", "95397bce20233dd0e9476a729c38fb547ecc8dc5a4cd7c9fba3b5983bcea8bbc"),
+    ("-p 2 -a 6 -b 1 -n 1", "e6967a8a0a312dcb86dbe223de241090c97c793721424acf2a2371f3716f0fec"),
+    ("-p 3 -a 9 -b 3 -n 1", "d6581fb3164643f3b5e883388b845a65da09e27790d92defa486cf597d43aa2e"),
+    ("-p 3 -a 1/3 -n 1000000", "d77e3cd8129c417d83f3e48e7c9f1bf167052c2e3436dcdce03062875ae54175"),
+])
+def test_gauss_closed_form_reports_are_pinned(argv, digest):
+    # one report per branch and indicator outcome, as the Fraction-based closed form printed them
+    proc = subprocess.run(BASE + ["gauss"] + argv.split(), capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("-a 1/3 -n 100000000", 0),
+    ("-a 1/3 -b 1/27 -n -100000000", 0),  # branch 1, magnitude 3^(-10^8) renders as 0.0
+    ("-a 0 -n 2000", 10),
+    ("-a 0 -n 100000000", 10),
+])
+def test_gauss_ball_exponent_costs_nothing(argv, code):
+    start = time.perf_counter()
+    proc = subprocess.run(BASE + ["gauss", "-p", "3"] + argv.split(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: 3^(") and "too large for a float" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["closed"]["magnitude"]["base"] == "3/1"
 
 
 def test_gauss_prime_beyond_the_exact_primality_bound_is_a_usage_error():

@@ -201,10 +201,39 @@ def test_rational_parsing_round_trip_and_rejects():
             parse_rational(bad)
 
 
-def test_is_prime_agrees_with_the_sieve_below_ten_to_the_five(monkeypatch):
+def test_is_prime_agrees_with_the_sieve_below_ten_to_the_six(monkeypatch):
     monkeypatch.setattr(exact_numbers, "_PRIME_CACHE", set())
-    primes = set(primes_upto(10**5))
-    assert [n for n in range(-2, 10**5) if is_prime(n) != (n in primes)] == []
+    primes = set(primes_upto(10**6))
+    assert [n for n in range(-2, 10**6) if is_prime(n) != (n in primes)] == []
+
+
+def _strong_probable_prime(n, base):
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    x = pow(base, odd, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, twos))
+
+
+def test_is_prime_sizes_its_bases_to_n_at_the_jaeschke_bounds(monkeypatch):
+    monkeypatch.setattr(exact_numbers, "_PRIME_CACHE", set())
+    # the least strong pseudoprimes to the first 3 and the first 4 prime bases:
+    # both are composite, and each fools the base set exact only below it
+    for n, fooled in ((25_326_001, 3), (3_215_031_751, 4), (341_550_071_728_321, 8)):
+        assert all(_strong_probable_prime(n, q) for q in (2, 3, 5, 7, 11, 13, 17, 19)[:fooled])
+        assert not is_prime(n)
+    # the primes next to each bound
+    assert is_prime(25_325_981) and is_prime(25_326_023)
+    assert is_prime(341_550_071_728_361)
+
+
+def test_is_prime_rejects_every_non_integer_before_the_cache(monkeypatch):
+    monkeypatch.setattr(exact_numbers, "_PRIME_CACHE", set())
+    for n in (3.0, Fraction(7), 2003.0, 7.5, "7", None):
+        with pytest.raises(ValueError, match="integers"):
+            is_prime(n)
+    assert exact_numbers._PRIME_CACHE == set()
+    assert is_prime(7) and is_prime(True) is False
 
 
 def test_is_prime_rejects_strong_pseudoprimes_to_the_first_bases(monkeypatch):
