@@ -27,7 +27,6 @@ from .classical_oscillator import (
 )
 from .errors import (
     NormalizationError,
-    PadicOscillatorError,
     PrimeCutoffError,
     VacuumAbsentError,
 )
@@ -48,7 +47,6 @@ from .propagator import (
     REAL_PLACE,
     _is_free,
     evaluate_kernel,
-    kernel_at,
     kernel_from_action,
     kernel_solution,
 )
@@ -451,9 +449,11 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
 class AdelicProduct:
     """Kernel values at finitely many places and their product.
 
-    The product over all places at once has no limit; this object is
-    explicitly a restricted partial product over the listed places and
-    nothing more.
+    For a rational kernel the product over all places is exactly 1.  This
+    is the restricted partial product over the listed places only: there
+    is no "all" place set, because a series kernel's coefficients are
+    truncation artifacts (example1(2/3,1) on [0, 5/7] at order 24 has a
+    47-digit numerator in B).
     """
 
     places: tuple
@@ -505,9 +505,9 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
                               order: int = DEFAULT_ORDER) -> AdelicProduct:
     """Evaluate the kernel at each requested place and multiply.
 
-    Requires a unit wronskian so the same classical data is admissible
-    at every place at once.  Per-place failures are re-raised with the
-    place name attached.  An empty place set yields the empty product 1.
+    Requires a unit wronskian, so that one solve and one endpoint evaluation,
+    certified at every listed prime, serve all places at once.  An empty
+    place set yields the empty product 1.
     """
     if not (_is_free(model) or model.wronskian == 1):
         raise ValueError(
@@ -517,16 +517,13 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
     ordered = _ordered_places(places)
     x_out = Fraction(x_out)
     x_in = Fraction(x_in)
-    ap = kernel_solution(model, order) if ordered else None
-
-    def one_place(place):
-        try:
-            kernel = kernel_at(place, ap, t_prime, t_dprime, planck=planck)
-            return evaluate_kernel(kernel, x_out, x_in)
-        except PadicOscillatorError as exc:
-            raise type(exc)(f"[place {place}] {exc}") from exc
-
-    factors = tuple(one_place(place) for place in ordered)
+    factors = ()
+    if ordered:
+        ap = kernel_solution(model, order)
+        primes = () if _is_free(model) else [p for p in ordered if p != REAL_PLACE]
+        ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
+        factors = tuple(evaluate_kernel(kernel_from_action(place, ap, ep, planck=planck),
+                                        x_out, x_in) for place in ordered)
     return AdelicProduct(ordered, factors, x_out, x_in)
 
 

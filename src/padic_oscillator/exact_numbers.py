@@ -148,11 +148,24 @@ def _unit_part(x: Fraction | int, p: int) -> tuple[int | float, int, int]:
     num, den, v = x.numerator, x.denominator, 0
     if num == 0:
         return math.inf, 0, 1
-    while num % p == 0:
-        num, v = num // p, v + 1
-    while den % p == 0:
-        den, v = den // p, v - 1
+    if num % p == 0:
+        num, v = _strip(num, p)
+    if den % p == 0:
+        den, k = _strip(den, p)
+        v -= k
     return v, num, den
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p**k, k) for the exponent k of p in n != 0, in O(log k) divisions:
+    past one factor p, the exponent of p^2 in the rest is found the same way,
+    and at most one p remains after it."""
+    q, r = divmod(n, p)
+    if r:
+        return n, 0
+    n, k = _strip(q, p * p)
+    q, r = divmod(n, p)
+    return (n, 2 * k + 1) if r else (q, 2 * k + 2)
 
 
 def prime_power(p: int, k: int) -> Fraction:
@@ -247,9 +260,17 @@ class HalfPower:
     def value(self) -> float:
         """n^k / d^k for the base n/d and k = floor(exponent), times sqrt(n/d) for a
         half-integer exponent.  From exponent * log2(base), before any power is built:
-        0.0 below 2^-1100, MagnitudeOverflowError at 2^1024 (or if base^k overflows)."""
+        0.0 below 2^-1100, MagnitudeOverflowError at 2^1024 (or if base^k overflows).
+        A base of 1 gives 1.0.  Once the exponent's numerator reaches 2^1000, the signs
+        of the exponent and of log2(base) decide alone, with no float built from the
+        exponent; that is exact for every base whose terms have under 980 bits."""
         num, den = self.base.numerator, self.base.denominator
-        bits = self.exponent * (math.log2(num) - math.log2(den))
+        if num == den:
+            return 1.0
+        if abs(self.exponent.numerator) >> 1000:
+            bits = math.inf if (self.exponent > 0) == (num > den) else -math.inf
+        else:
+            bits = self.exponent * (math.log2(num) - math.log2(den))
         if bits < -1100:
             return 0.0
         k = self.exponent.numerator // self.exponent.denominator

@@ -25,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DepthTooSmallError, OracleBudgetError
+from .errors import DepthTooSmallError, MagnitudeOverflowError, OracleBudgetError
 from .exact_numbers import (
     PHASE_ONE,
     HalfPower,
@@ -196,7 +196,14 @@ def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan
     ``depth`` defaults to the local-constancy depth; a smaller one raises
     DepthTooSmallError.
     """
-    p, nu = spec.prime, spec.ball_exponent
+    level, depth = _oracle_exponents(spec, depth)
+    p = spec.prime
+    return OraclePlan(level, p**level, depth, p ** (spec.ball_exponent + depth))
+
+
+def _oracle_exponents(spec: GaussIntegralSpec, depth: int | None) -> tuple[int, int]:
+    """(level, depth) of ``oracle_plan``, with no power of p built."""
+    nu = spec.ball_exponent
     floor = local_constancy_depth(spec)
     if depth is None:
         depth = floor
@@ -205,27 +212,32 @@ def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan
             f"depth {depth} below the local-constancy requirement {floor}"
         )
     (v_a, _, _), (v_b, _, _) = spec.unit_parts
-    level = max(0, 2 * nu - v_a, nu - v_b)  # a zero coefficient gives -inf
-    return OraclePlan(level, p**level, depth, p ** (nu + depth))
+    return max(0, 2 * nu - v_a, nu - v_b), depth  # a zero coefficient gives -inf
 
 
 def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> complex:
     """Coset-sum value of the integral: p^(-depth) sum_j exp(2 pi i k_j / M).
 
     k_j = (a j + b) j mod M with a, b the exact residues of alpha and beta,
-    summed over j < min(cosets, M) in blocks of _BLOCK and multiplied by
-    the integer fold cosets // min(cosets, M).  Products stay below M^2,
-    so a modulus above 2^31 (int64 overflow) raises ValueError, and more
-    than _BUDGET samples raise OracleBudgetError, both before any work.
+    summed over j < p^min(nu + depth, level) in blocks of _BLOCK and
+    multiplied by the fold (cosets / that count) / p^depth, a power of p
+    rounded once (0.0 below p^-1100).  Products stay below M^2, so a
+    modulus above 2^31 (int64 overflow) raises ValueError, more than _BUDGET
+    samples raise OracleBudgetError and a fold of 2^1024 or more
+    MagnitudeOverflowError, all decided on exponents before any work.
     """
     p, nu = spec.prime, spec.ball_exponent
     (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
-    level, modulus, depth, cosets = oracle_plan(spec, depth)
-    if modulus > 1 << 31:
+    level, depth = _oracle_exponents(spec, depth)
+    if level > 31 or p**level > 1 << 31:
         raise ValueError(f"oracle modulus {p}^{level} is above 2^31")
-    count = min(cosets, modulus)
+    modulus, span = p**level, min(nu + depth, level)
+    count = p**span
     if count > _BUDGET:
         raise OracleBudgetError(f"oracle needs {count} samples, above the budget of 2^26")
+    fold = nu - level if span == level else -depth  # (cosets / count) / p^depth = p^fold
+    if fold >= 1024 or (fold >= 0 and p**fold >= 1 << 1024):
+        raise MagnitudeOverflowError(f"{p}^({fold}) is too large for a float")
 
     import numpy as np
     a_red = _residue(a_num, a_den, p, v_a + level - 2 * nu, modulus)
@@ -235,7 +247,7 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
         j = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
         k = (a_red * j + b_red) % modulus * j % modulus
         total += complex(np.exp(2j * np.pi / modulus * k).sum())
-    return total * (cosets // count / p**depth)
+    return total * (p**fold if fold >= 0 else 1 / p**-fold if fold > -1100 else 0.0)
 
 
 def lambda_p(alpha: Fraction, p: int) -> UnitPhase:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_oscillator import classical_oscillator
 from padic_oscillator.adelic import (
     Adele,
+    AdelicProduct,
     AdelicState,
     GaussianGroundState,
     PAdicFactor,
@@ -25,16 +28,23 @@ from padic_oscillator.adelic import (
 from padic_oscillator.classical_oscillator import (
     parse_preset,
     preset_constant,
+    preset_example1,
     preset_free,
 )
 from padic_oscillator.errors import (
     DivergenceError,
     NormalizationError,
+    PadicOscillatorError,
     PrimeCutoffError,
     VacuumAbsentError,
 )
-from padic_oscillator.exact_numbers import fractional_part, primes_upto
-from padic_oscillator.propagator import REAL_PLACE, evaluate_kernel, oscillator_kernel
+from padic_oscillator.exact_numbers import _unit_part, fractional_part, primes_upto
+from padic_oscillator.propagator import (
+    REAL_PLACE,
+    QuadraticKernel,
+    evaluate_kernel,
+    oscillator_kernel,
+)
 
 F = Fraction
 
@@ -305,10 +315,116 @@ def test_product_solves_the_model_once_for_all_places(solve_calls):
 
 
 def test_product_errors_carry_the_place_label():
+    # the certificate's own message names the prime it could not certify
     model = parse_preset("example1(1,1)", order=16)
-    with pytest.raises(DivergenceError, match=r"\[place 3\]"):
+    with pytest.raises(DivergenceError, match=r"for primes \[3\]"):
         adelic_propagator_product((REAL_PLACE, 3), model, F(0), F(1, 3),
                                   F(1), F(0), order=16)
+
+
+@pytest.fixture
+def endpoint_calls(monkeypatch):
+    """The prime sets of every endpoint evaluation, through every module that binds it."""
+    calls = []
+    original = classical_oscillator.endpoint_data
+
+    def counted(*args, **kwargs):
+        calls.append(tuple(kwargs.get("primes", ())))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "padic_oscillator" and \
+                getattr(module, "endpoint_data", None) is original:
+            monkeypatch.setattr(module, "endpoint_data", counted)
+    return calls
+
+
+def test_product_evaluates_the_endpoints_once_for_every_place(endpoint_calls):
+    model = parse_preset("example1(1,1)", order=12)
+    adelic_propagator_product((REAL_PLACE, 3, 5, 7), model, F(0), F(105), F(2), F(1), order=12)
+    assert endpoint_calls == [(3, 5, 7)]
+    endpoint_calls.clear()
+    adelic_propagator_product((), model, F(0), F(105), F(2), F(1), order=12)
+    assert endpoint_calls == []
+
+
+def _per_place(places, model, t_dprime, x_out, x_in):
+    """Each place's factor from its own solve and kernel, or the error that raised."""
+    out = []
+    for place in places:
+        try:
+            kernel = oscillator_kernel(place, model, F(0), t_dprime, order=12)
+            out.append(evaluate_kernel(kernel, x_out, x_in))
+        except PadicOscillatorError as exc:
+            out.append(exc)
+    return out
+
+
+def test_product_factors_equal_the_per_place_kernels_on_a_seeded_sweep():
+    rng = random.Random(1300)
+    passed = failed = with_two = 0
+    for case in range(90):
+        family = ("free", "example1", "constant")[case % 3]
+        if family == "free":
+            model = preset_free(order=12)
+        elif family == "example1":
+            model = preset_example1(rng.choice((-3, -2, -1, 1, 2, 3)), 1, order=12)
+        else:
+            model = preset_constant(1, order=12)
+        primes = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 4))
+        places = [REAL_PLACE] + primes + [rng.choice(primes)]  # one place repeated
+        rng.shuffle(places)
+        if case % 2:  # |T|_p < 1 at every listed prime (|T|_2 < 1/2) certifies every place
+            t_dprime = F(4 * math.prod(primes))
+        else:
+            t_dprime = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+        x_out, x_in = F(rng.randint(-5, 5)), F(rng.randint(-5, 5))
+        ordered = (REAL_PLACE,) + tuple(sorted(primes))
+        expect = _per_place(ordered, model, t_dprime, x_out, x_in)
+        errors = {type(value) for value in expect if isinstance(value, Exception)}
+        if errors:
+            with pytest.raises(PadicOscillatorError) as info:
+                adelic_propagator_product(places, model, F(0), t_dprime, x_out, x_in, order=12)
+            assert type(info.value) in errors
+            failed += 1
+            continue
+        product = adelic_propagator_product(places, model, F(0), t_dprime, x_out, x_in,
+                                            order=12)
+        assert product.places == ordered and product.factors == tuple(expect)
+        passed += 1
+        with_two += 2 in primes and family != "free"
+    assert passed > 20 and failed > 10 and with_two > 5
+
+
+def test_rational_kernels_satisfy_the_product_formula_over_all_places():
+    # lambda_real, lambda_p, chi and |.|^(1/2) multiply to exactly 1 over all places;
+    # outside {real, 2} and the primes of B/h and of den(S/h) every factor is 1
+    rng = random.Random(1400)
+    small_primes = primes_upto(60)
+
+    def draw(nonzero=False):
+        while True:
+            x = F(rng.randint(-60, 60), rng.randint(1, 60))
+            if x or not nonzero:
+                return x
+
+    dyadic_classes = set()
+    for _ in range(2000):
+        A, B, D, h = draw(), draw(True), draw(), draw(True)
+        x_out, x_in = draw(), draw()
+        scale = B / h
+        action = (A * x_out * x_out + B * x_out * x_in + D * x_in * x_in) / h
+        support = scale.numerator * scale.denominator * action.denominator
+        places = (REAL_PLACE, 2) + tuple(q for q in small_primes[1:] if support % q == 0)
+        factors = tuple(evaluate_kernel(QuadraticKernel(place, A, B, D, 1, h), x_out, x_in)
+                        for place in places)
+        product = AdelicProduct(places, factors, x_out, x_in)
+        assert product.phase_angle == 0, (A, B, D, h, x_out, x_in)
+        assert abs(product.norm_value() - 1) < 1e-12, (A, B, D, h, x_out, x_in)
+        v, num, den = _unit_part(-B / (2 * h), 2)
+        dyadic_classes.add((v % 2, num * den % 8))  # the unit mod 8, as den^2 = 1 mod 8
+    # every class of the dyadic lambda: v even or odd, each unit mod 8
+    assert dyadic_classes == {(v, u) for v in (0, 1) for u in (1, 3, 5, 7)}
 
 
 # -- reduction and discreteness ---------------------------------------------

@@ -100,10 +100,33 @@ def test_gauss_at_a_prime_near_ten_to_the_eighteen_answers_fast():
     ("-p 2 -a 6 -b 1 -n 1", "e6967a8a0a312dcb86dbe223de241090c97c793721424acf2a2371f3716f0fec"),
     ("-p 3 -a 9 -b 3 -n 1", "d6581fb3164643f3b5e883388b845a65da09e27790d92defa486cf597d43aa2e"),
     ("-p 3 -a 1/3 -n 1000000", "d77e3cd8129c417d83f3e48e7c9f1bf167052c2e3436dcdce03062875ae54175"),
+    ("-p 3 -a 1/3 -b 0 -n 0", "59045bb9c050a0c8526c58d1d938f54663a7a804d02938c2d9c3ac360d56a383"),
+    ("-p 2 -a 3/8 -b 1/4 -n 1", "a291685af8276866ce311d8b20cb065c5c96e5b8ca75d9e1dcb8a69851078738"),
 ])
 def test_gauss_closed_form_reports_are_pinned(argv, digest):
     # one report per branch and indicator outcome, as the Fraction-based closed form printed them
     proc = subprocess.run(BASE + ["gauss"] + argv.split(), capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("classical --preset example2(1,2) --t1 0 --t2 1/4 --x1 1 --x2 2 --order 96",
+     "d71ec8eb074c1e4e16530aa1983bb84d332ad5d7cdb06e36f971fba243d4fe23"),
+    ("propagator --place 5 --preset example1(2/3,1) --t1 0 --t2 5/7 --x1 1 --x2 2"
+     " --stability-check", "f220d0084c446a0dca49174e257a7b7180985fea8a4812db23cf2ad5a9e8584a"),
+    ("product --places real,3,5,7 --preset example1(1,1) --t1 0 --t2 105 --x1 1 --x2 2",
+     "639323dd4e2b83e764ce9a02a7d585ef6e289f43af3946efae3bd212b62716f5"),
+    ("vacuum -p 3,5 --preset constant(3) --t1 0 --t2 15 --method closed-form",
+     "cf8d50f0deeee4e4467b32c3c43783456d5338b01d0381d7806607ffcae3562d"),
+    ("discreteness --xs 0,1,1/2,3/2,2 --cutoff 100",
+     "361e95bec0674f6bdfe191001499e3bb3d231fc3317aa82fdda3d45951124e47"),
+    ("discreteness --xs 0,1/6,5/77,1/221,-3/1 --cutoff 50",
+     "af766bc202005d2e483c4a69b30ff993a6009130c0237a538f72f87a7630e12d"),
+])
+def test_command_reports_are_pinned(argv, digest):
+    # the order-96 solve, the stability gate, the product, the vacuum and discreteness reports
+    proc = subprocess.run(BASE + argv.split(), capture_output=True, timeout=60)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
@@ -113,6 +136,9 @@ def test_gauss_closed_form_reports_are_pinned(argv, digest):
     ("-a 1/3 -b 1/27 -n -100000000", 0),  # branch 1, magnitude 3^(-10^8) renders as 0.0
     ("-a 0 -n 2000", 10),
     ("-a 0 -n 100000000", 10),
+    pytest.param("-a 0 -n 1" + "0" * 400, 10, id="-a 0 -n 10^400-10"),
+    # branch 1, magnitude 3^(-10^400) renders as 0.0 from the exponent's sign alone
+    pytest.param("-a 1/3 -b 1 -n -1" + "0" * 400, 0, id="-a 1/3 -b 1 -n -10^400-0"),
 ])
 def test_gauss_ball_exponent_costs_nothing(argv, code):
     start = time.perf_counter()
@@ -145,6 +171,23 @@ def test_gauss_oracle_modulus_above_two_to_the_31_is_a_usage_error():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 64
     assert "2^40" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("-a 1/3 -n 10000000 --oracle-depth 10000001", 64),  # modulus 3^20000001
+    ("-a 1/3 --oracle-depth 10000000", 0),  # 3 samples, fold 3^(-1)
+    ("-a 0 -n 1000 --oracle-depth 0", 10),  # one sample, fold 3^1000
+])
+def test_gauss_oracle_guards_read_exponents(argv, code):
+    start = time.perf_counter()
+    proc = subprocess.run(BASE + ["gauss", "-p", "3"] + argv.split(),
+                          capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    if code == 0:  # the bytes that building 3^(10^7) printed
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            "c4e7122ba4964c2dc0db44b18451cb2f893528f6f90d90cce1cb8c4565f7cc05"
 
 
 def test_gauss_oracle_above_sample_budget_exits_nine():

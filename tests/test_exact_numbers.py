@@ -254,16 +254,21 @@ def test_is_prime_refuses_to_guess_beyond_the_exact_bound():
 # -- the integer path against the Fraction-only reference -------------------
 
 
-def _reference_valuation(x, p):
+def _reference_unit_part(x, p):
+    """(v, num, den) by one division per factor of p."""
     x = Fraction(x)
     if x == 0:
-        return math.inf
+        return math.inf, 0, 1
     v, num, den = 0, x.numerator, x.denominator
     while num % p == 0:
         num, v = num // p, v + 1
     while den % p == 0:
         den, v = den // p, v - 1
-    return v
+    return v, num, den
+
+
+def _reference_valuation(x, p):
+    return _reference_unit_part(x, p)[0]
 
 
 def _reference_norm(x, p):
@@ -317,6 +322,26 @@ def test_scalar_functions_equal_the_fraction_reference(p):
             assert padic_norm(x, p) == _reference_norm(x, p), (x, p)
             assert fractional_part(x, p) == _reference_fractional_part(x, p), (x, p)
             assert lambda_p(x, p).angle == _reference_lambda_angle(x, p), (x, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10**6 + 3])
+def test_unit_part_equals_the_division_loop_for_every_valuation(p):
+    rng = random.Random(1500 + p)
+    assert exact_numbers._unit_part(Fraction(0), p) == _reference_unit_part(0, p)
+    for v in range(-300, 301):
+        for _ in range(2):
+            unit = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+            x = unit * Fraction(p) ** v
+            assert exact_numbers._unit_part(x, p) == _reference_unit_part(x, p), (x, p)
+
+
+def test_unit_part_of_a_large_power_takes_logarithmically_many_divisions():
+    # at one division per factor of p this took seconds
+    for x, expected in ((Fraction(5**80000, 7), (80000, 1, 7)),
+                        (Fraction(-7, 5**80000), (-80000, -7, 1))):
+        start = time.perf_counter()
+        assert exact_numbers._unit_part(x, 5) == expected
+        assert time.perf_counter() - start < 0.1
 
 
 def test_norms_are_fractions_also_for_zero_and_units():

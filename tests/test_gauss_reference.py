@@ -265,3 +265,10 @@ def test_half_power_out_of_range_is_decided_without_building_the_power():
     assert HalfPower(Fraction(2), Fraction(1023)).value() == 2.0**1023
     with pytest.raises(MagnitudeOverflowError):
         HalfPower(Fraction(2), Fraction(1024)).value()
+    # exponents that no float holds: the signs decide, and a base of 1 stays 1.0
+    huge = Fraction(10**400 + 1, 2)
+    assert HalfPower(Fraction(1), huge).value() == HalfPower(Fraction(1), -huge).value() == 1.0
+    assert HalfPower(Fraction(3), -huge).value() == HalfPower(Fraction(1, 3), huge).value() == 0.0
+    for base, exponent in ((Fraction(3), huge), (Fraction(1, 3), -huge)):
+        with pytest.raises(MagnitudeOverflowError, match="too large for a float"):
+            HalfPower(base, exponent).value()
