@@ -192,10 +192,12 @@ def fractional_part(u: Fraction | int, p: int) -> Fraction:
     if not isinstance(u, (int, Fraction)):
         u = Fraction(u)
     _require_prime(p)
-    num, den, pm = u.numerator, u.denominator, 1
-    while den % p == 0:  # keeps u = num / (den * pm); den ends prime to p
-        den, pm = den // p, pm * p
-    return _ZERO if pm == 1 else Fraction(num * pow(den, -1, pm) % pm, pm)
+    den = u.denominator
+    if den % p:
+        return _ZERO
+    den, k = _strip(den, p)  # u = num / (den * p**k) with den prime to p
+    pm = p**k
+    return Fraction(u.numerator * pow(den, -1, pm) % pm, pm)
 
 
 def omega(norm: Fraction | int) -> int:

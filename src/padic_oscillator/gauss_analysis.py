@@ -14,8 +14,11 @@ alpha and beta once as integer valuations and unit parts p^v * num/den:
 branches and indicators compare valuations and phases are residues mod
 powers of p, so no p^nu is built and the ball exponent costs nothing.
 The brute force sum reduces every phase to an exact integer k mod
-M = p^level and adds exp(2 pi i k / M) over the sample cosets in
-fixed-size numpy blocks; numpy is imported on first use.
+M = p^level and adds e(k/M) = exp(2 pi i k / M) over the sample cosets in
+numpy blocks of 2^16 samples, so its temporaries stay a few MB whatever
+M is.  Each e(k/M) is the product of two table entries, e(h 2^s / M) and
+e(l / M) with k = h 2^s + l, from two tables of 2^s <= 2^16 roots built
+once per call; numpy is imported on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .exact_numbers import (
 )
 
 # Cosets summed per numpy block, which bounds the oracle's memory.
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 _BUDGET = 1 << 26  # most samples one oracle call may sum (about 5 s)
 
 
@@ -216,15 +219,18 @@ def _oracle_exponents(spec: GaussIntegralSpec, depth: int | None) -> tuple[int, 
 
 
 def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> complex:
-    """Coset-sum value of the integral: p^(-depth) sum_j exp(2 pi i k_j / M).
+    """Coset-sum value of the integral: p^(-depth) sum_j e(k_j / M), e(x) = exp(2 pi i x).
 
     k_j = (a j + b) j mod M with a, b the exact residues of alpha and beta,
     summed over j < p^min(nu + depth, level) in blocks of _BLOCK and
     multiplied by the fold (cosets / that count) / p^depth, a power of p
-    rounded once (0.0 below p^-1100).  Products stay below M^2, so a
-    modulus above 2^31 (int64 overflow) raises ValueError, more than _BUDGET
-    samples raise OracleBudgetError and a fold of 2^1024 or more
-    MagnitudeOverflowError, all decided on exponents before any work.
+    rounded once (0.0 below p^-1100).  With s = ceil(bit_length(M) / 2),
+    e(k/M) = high[k >> s] * low[k & (2^s - 1)] where low[l] = e(l / M) and
+    high[h] = e(h 2^s / M), two tables of 2^s <= 2^16 entries: one complex
+    exponential per table entry rather than per sample.  Integer products
+    stay below M^2, so a modulus above 2^31 (int64 overflow) raises ValueError,
+    more than _BUDGET samples raise OracleBudgetError and a fold of 2^1024
+    or more MagnitudeOverflowError, all decided on exponents before any work.
     """
     p, nu = spec.prime, spec.ball_exponent
     (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
@@ -242,11 +248,17 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     import numpy as np
     a_red = _residue(a_num, a_den, p, v_a + level - 2 * nu, modulus)
     b_red = _residue(b_num, b_den, p, v_b + level - nu, modulus)
+    s = (modulus.bit_length() + 1) // 2
+    mask = (1 << s) - 1
+    turns = np.arange(mask + 1) * (2j * np.pi / modulus)
+    low, high = np.exp(turns), np.exp(turns * (mask + 1))
     total = 0j
     for start in range(0, count, _BLOCK):
-        j = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
-        k = (a_red * j + b_red) % modulus * j % modulus
-        total += complex(np.exp(2j * np.pi / modulus * k).sum())
+        k = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)  # the j, then k_j
+        k = (a_red * k + b_red) % modulus * k % modulus
+        roots = high[k >> s]
+        roots *= low[k & mask]
+        total += complex(roots.sum())
     return total * (p**fold if fold >= 0 else 1 / p**-fold if fold > -1100 else 0.0)
 
 

@@ -333,6 +333,7 @@ def test_unit_part_equals_the_division_loop_for_every_valuation(p):
             unit = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
             x = unit * Fraction(p) ** v
             assert exact_numbers._unit_part(x, p) == _reference_unit_part(x, p), (x, p)
+            assert fractional_part(x, p) == _reference_fractional_part(x, p), (x, p)
 
 
 def test_unit_part_of_a_large_power_takes_logarithmically_many_divisions():
@@ -342,6 +343,15 @@ def test_unit_part_of_a_large_power_takes_logarithmically_many_divisions():
         start = time.perf_counter()
         assert exact_numbers._unit_part(x, 5) == expected
         assert time.perf_counter() - start < 0.1
+
+
+def test_fractional_part_of_a_large_power_takes_logarithmically_many_divisions():
+    # at one division per factor of p this took about a second
+    u = Fraction(1, 5**40000 * 7)
+    start = time.perf_counter()
+    f = fractional_part(u, 5)
+    assert time.perf_counter() - start < 0.1
+    assert f.denominator == 5**40000 and (7 * f.numerator - 1) % 5**40000 == 0
 
 
 def test_norms_are_fractions_also_for_zero_and_units():

@@ -115,9 +115,31 @@ def test_histogram_total_mass_counts_every_coset():
     (2, Fraction(3, 2**22), Fraction(5, 2**7)),
 ])
 def test_moduli_above_two_to_the_21_match_closed_form(p, alpha, beta):
+    # the benchmark's deep-tier specs, each summed over many blocks of samples
     spec = GaussIntegralSpec(p, alpha, beta)
     assert oracle_plan(spec).modulus > 1 << 21
     assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_oracle_at_modulus_one_is_one_exact_sample(p):
+    # level 0: both root tables hold only e(0) = 1, so the sum is exactly the ball measure
+    for spec, measure in ((GaussIntegralSpec(p, Fraction(0), Fraction(0)), 1.0),
+                          (GaussIntegralSpec(p, Fraction(p * p), Fraction(p), -1), 1 / p)):
+        plan = oracle_plan(spec)
+        assert (plan.modulus, plan.cosets) == (1, 1)
+        assert gauss_brute_force(spec) == measure == gauss_closed_form(spec).value
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_oracle_at_modulus_p_sums_the_pth_roots_of_unity(p):
+    quadratic = GaussIntegralSpec(p, Fraction(1, p), Fraction(0))
+    linear = GaussIntegralSpec(p, Fraction(0), Fraction(1, p))
+    for spec in (quadratic, linear):
+        plan = oracle_plan(spec)
+        assert plan.modulus == plan.cosets == p
+    assert abs(gauss_brute_force(quadratic) - gauss_closed_form(quadratic).value) < 1e-15
+    assert abs(gauss_brute_force(linear)) < 1e-15  # every p-th root once: the sum is 0
 
 
 def test_oracle_plan_is_integral_when_cosets_are_half_the_modulus():
