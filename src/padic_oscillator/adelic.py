@@ -49,6 +49,7 @@ from .propagator import (
     evaluate_kernel,
     kernel_from_action,
     kernel_solution,
+    kernel_window,
 )
 
 
@@ -330,9 +331,8 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     if method not in ("closed-form", "brute-force"):
         raise ValueError(f"unknown vacuum method {method!r}")
     planck = Fraction(planck)
-    free = _is_free(model)
     ap = kernel_solution(model, order)
-    ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=() if free else (p,))
+    ep = kernel_window(ap, t_prime, t_dprime, (p,))
     kernel = kernel_from_action(p, ap, ep, planck=planck)
     lam, norm = kernel.lambda_factor, kernel.norm
     alpha_in = -kernel.coef_in / planck
@@ -373,7 +373,7 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     if p == 2:
         sufficient = None
     else:
-        if free:
+        if _is_free(model):
             # closed endpoint scalars of the unit-wronskian free frame
             t1, t2 = Fraction(t_prime), Fraction(t_dprime)
             growth = t1 / (1 + t1 * t1)
@@ -505,23 +505,18 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
                               order: int = DEFAULT_ORDER) -> AdelicProduct:
     """Evaluate the kernel at each requested place and multiply.
 
-    Requires a unit wronskian, so that one solve and one endpoint evaluation,
-    certified at every listed prime, serve all places at once.  An empty
-    place set yields the empty product 1.
+    One solve and one ``kernel_window``, certified at every listed prime,
+    serve all places at once, for any wronskian: each factor equals the
+    kernel built at its place alone.  An empty place set yields the empty
+    product 1.
     """
-    if not (_is_free(model) or model.wronskian == 1):
-        raise ValueError(
-            "multi-place products need wronskian 1; rescale the model or "
-            "evaluate places one at a time"
-        )
     ordered = _ordered_places(places)
     x_out = Fraction(x_out)
     x_in = Fraction(x_in)
     factors = ()
     if ordered:
         ap = kernel_solution(model, order)
-        primes = () if _is_free(model) else [p for p in ordered if p != REAL_PLACE]
-        ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
+        ep = kernel_window(ap, t_prime, t_dprime, ordered)
         factors = tuple(evaluate_kernel(kernel_from_action(place, ap, ep, planck=planck),
                                         x_out, x_in) for place in ordered)
     return AdelicProduct(ordered, factors, x_out, x_in)

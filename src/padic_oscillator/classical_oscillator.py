@@ -266,48 +266,20 @@ def phase_residual(ap: AmplitudePhase) -> RationalSeries:
 # Convergence certification
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
-    """Tail-control verdicts for evaluating a truncated series at a point.
+def convergence_certificate(series: RationalSeries, p: int, point) -> None:
+    """Certify the tail of a truncated series at a point for one prime p, or raise DivergenceError.
 
-    For each requested prime the certificate checks, over the top-half
-    coefficient window, that every retained term t^n * a_n has p-adic
-    norm <= 1/p; the tail beyond truncation is then treated as a p-adic
-    integer perturbation, which leaves fractional parts (and hence any
-    character built from the value) unchanged.  It makes no claim at
-    the real place.
+    Every retained term t^n * a_n of the top-half coefficient window must
+    have p-adic norm <= 1/p; the tail beyond truncation is then treated as
+    a p-adic integer perturbation, which leaves fractional parts (and any
+    character built from the value) unchanged.  No claim at the real place.
     """
-
-    point: Fraction
-    entries: tuple[tuple[int, bool], ...]
-
-    @property
-    def granted(self) -> bool:
-        return all(ok for _, ok in self.entries)
-
-
-def convergence_certificate(series: RationalSeries, primes, point,
-                            strict: bool = True) -> ConvergenceCertificate:
     point = Fraction(point)
-    low = series.order // 2 + 1
-    high = series.order
-    entries = []
-    for p in sorted(set(primes)):
-        point_val = padic_valuation(point, p)
-        ok = True
-        for n in range(low, high + 1):
-            coeff = series.coefficient(n)
-            if coeff == 0:
-                continue
-            if padic_valuation(coeff, p) + n * point_val < 1:
-                ok = False
-                break
-        entries.append((p, ok))
-    certificate = ConvergenceCertificate(point, tuple(entries))
-    if strict and not certificate.granted:
-        failed = [p for p, ok in certificate.entries if not ok]
-        raise DivergenceError(f"series tail not certified at t={point} for primes {failed}")
-    return certificate
+    point_val = padic_valuation(point, p)
+    for n in range(series.order // 2 + 1, series.order + 1):
+        coeff = series.coefficient(n)
+        if coeff != 0 and padic_valuation(coeff, p) + n * point_val < 1:
+            raise DivergenceError(f"series tail not certified at t={point} for primes [{p}]")
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +323,18 @@ def endpoint_data(ap: AmplitudePhase, t_prime, t_dprime, x_prime=0, x_dprime=0,
                   primes=()) -> EndpointData:
     """Solve the two-point problem x(t') = x', x(t'') = x'' exactly.
 
-    When primes are supplied, evaluation is allowed only after the
-    amplitude and phase series pass their tail certificates at both
-    endpoints and the phase values sit inside the trig convergence
-    domain |gamma|_p < |2|_p; otherwise DivergenceError.
+    At each supplied prime, in ascending order, the amplitude and phase
+    series must pass ``convergence_certificate`` at both endpoints and the
+    phase values sit inside the trig domain |gamma|_p < |2|_p; otherwise
+    DivergenceError.  Kernels pick their primes in ``kernel_window``.
     """
     t1, t2 = Fraction(t_prime), Fraction(t_dprime)
     x1, x2 = Fraction(x_prime), Fraction(x_dprime)
     primes = tuple(sorted(set(primes)))
     for p in primes:
         for series in (ap.amp, ap.phase):
-            convergence_certificate(series, (p,), t1)
-            convergence_certificate(series, (p,), t2)
+            convergence_certificate(series, p, t1)
+            convergence_certificate(series, p, t2)
     amp1, amp2 = ap.amp.evaluate(t1), ap.amp.evaluate(t2)
     if amp1 == 0 or amp2 == 0:
         raise CausticError("amplitude vanishes at an endpoint")

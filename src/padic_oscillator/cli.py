@@ -112,12 +112,12 @@ def _parse_primes(text: str) -> tuple:
 
 
 def _build_model(args, order: int):
-    if getattr(args, "omega", None):
+    if args.omega:
         coeffs = [parse_rational(piece) for piece in args.omega.split(",")]
         model = model_from_omega_coeffs(coeffs, order=order, label="inline")
     else:
         model = parse_preset(args.preset, order)
-    if getattr(args, "mass", None):
+    if args.mass:
         model = dataclasses.replace(model, mass=parse_rational(args.mass))
     return model
 
@@ -142,11 +142,10 @@ def cmd_gauss(args) -> int:
 def cmd_classical(args) -> int:
     order = args.order
     model = _build_model(args, order)
-    primes = _parse_primes(args.primes) if args.primes else ()
     ap = solve_amplitude_phase(model, order)
     ep = endpoint_data(ap, parse_rational(args.t1), parse_rational(args.t2),
                        parse_rational(args.x1), parse_rational(args.x2),
-                       primes=primes)
+                       primes=_parse_primes(args.primes))
     trajectory = trajectory_endpoints(ap, ep)
     k1, k2 = endpoint_momenta(ap, ep)
     quad = classical_action(ap, ep)
@@ -283,13 +282,12 @@ def cmd_suite(args) -> int:
 # Parser assembly
 
 
-def _add_model_flags(sub, with_mass: bool = True) -> None:
+def _add_model_flags(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="model family: example1(a,b), "
                                         "example2(a,b), constant(w0) or free")
     group.add_argument("--omega", help="inline frequency coefficients c0,c1,...")
-    if with_mass:
-        sub.add_argument("--mass", help="override the particle mass (num/den)")
+    sub.add_argument("--mass", help="override the particle mass (num/den)")
 
 
 def _add_window_flags(sub, with_x: bool = True) -> None:

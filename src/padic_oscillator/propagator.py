@@ -37,7 +37,6 @@ from .exact_numbers import (
     HalfPower,
     UnitPhase,
     chi,
-    fractional_part,
     is_prime,
     padic_valuation,
 )
@@ -169,14 +168,19 @@ def kernel_solution(model: OscillatorModel, order: int = DEFAULT_ORDER) -> Ampli
     return solve_amplitude_phase(model, min(order, model.freq_sq.order + 2))
 
 
+def kernel_window(ap: AmplitudePhase, t_prime, t_dprime, places) -> EndpointData:
+    """Endpoint data over [t', t''] certified at each prime of ``places``; none if free."""
+    primes = () if _is_free(ap.model) else tuple(p for p in places if p != REAL_PLACE)
+    return endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
+
+
 def kernel_at(place, ap: AmplitudePhase, t_prime, t_dprime, planck=1) -> QuadraticKernel:
-    """The kernel over [t', t''] at one place from one solve, certified at that place.
+    """The kernel over [t', t''] at one place from one solve, through ``kernel_window``.
 
     One ``kernel_solution`` serves every place and time window of a model.
     """
-    primes = () if _is_free(ap.model) or place == REAL_PLACE else (place,)
-    ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=primes)
-    return kernel_from_action(place, ap, ep, planck=planck)
+    return kernel_from_action(place, ap, kernel_window(ap, t_prime, t_dprime, (place,)),
+                              planck=planck)
 
 
 def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
@@ -185,16 +189,19 @@ def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
     return kernel_at(place, kernel_solution(model, order), t_prime, t_dprime)
 
 
+def action_phase(place, scaled_action) -> UnitPhase:
+    """chi_v(-S/h) for S/h = scaled_action: exp(2 pi i S/h) at the real place, chi_p(-S/h) at p."""
+    if place == REAL_PLACE:
+        return UnitPhase(scaled_action)
+    return chi(-scaled_action, place)
+
+
 def evaluate_kernel(kernel: QuadraticKernel, x_out, x_in) -> KernelValue:
     """Exact factor decomposition of K(x_out, x_in) at the kernel's place.
 
     The kernel's own lambda factor and norm times chi_v(-S(x_out, x_in)/h).
     """
-    scaled_action = kernel.action(x_out, x_in) / kernel.planck
-    if kernel.place == REAL_PLACE:
-        phase = UnitPhase(scaled_action)  # chi_real(-S/h) = exp(+2 pi i S/h)
-    else:
-        phase = chi(-scaled_action, kernel.place)
+    phase = action_phase(kernel.place, kernel.action(x_out, x_in) / kernel.planck)
     return KernelValue(kernel.lambda_factor, kernel.norm, phase)
 
 
@@ -296,13 +303,8 @@ def phase_doubling_check(build_model: Callable[[int], OscillatorModel],
             ap = solve_amplitude_phase(model, n)
             ep = endpoint_data(ap, t_prime, t_dprime, x_prime, x_dprime)
             action = classical_action(ap, ep)
-        angles: dict = {}
-        for place in places:
-            if place == REAL_PLACE:
-                angles[place] = (action / planck) % 1
-            else:
-                angles[place] = fractional_part(-action / planck, place)
-        snapshots.append(angles)
+        snapshots.append({place: action_phase(place, action / planck).angle
+                          for place in places})
     first, second = snapshots
     for place in places:
         if place == REAL_PLACE:

@@ -19,6 +19,7 @@ from .classical_oscillator import (
     boundary_action,
     classical_action,
     endpoint_data,
+    parse_preset,
     phase_residual,
     preset_constant,
     preset_example1,
@@ -287,8 +288,6 @@ _COMPOSITION_GRID = (
 
 def suite_composition(seed: int, cases: Optional[int] = None) -> SuiteResult:
     """Kernel semigroup property against the brute-force middle integral."""
-    from .classical_oscillator import parse_preset
-
     grid = _COMPOSITION_GRID[: cases or len(_COMPOSITION_GRID)]
     rng = random.Random(seed)
     sample_sets = []
@@ -325,8 +324,6 @@ _VACUUM_GRID = (
 
 def suite_vacuum(seed: int, cases: Optional[int] = None) -> SuiteResult:
     """Closed-form and brute-force vacuum verdicts agree on a fixed grid."""
-    from .classical_oscillator import parse_preset
-
     grid = _VACUUM_GRID[: cases or len(_VACUUM_GRID)]
 
     failures = []

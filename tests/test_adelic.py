@@ -43,6 +43,8 @@ from padic_oscillator.propagator import (
     REAL_PLACE,
     QuadraticKernel,
     evaluate_kernel,
+    kernel_at,
+    kernel_solution,
     oscillator_kernel,
 )
 
@@ -282,12 +284,6 @@ def test_free_product_over_three_places_is_exact_eighth_root():
     assert abs(product.product_value - complex(0.5, 0.5)) < 1e-12
 
 
-def test_product_requires_unit_wronskian():
-    with pytest.raises(ValueError):
-        adelic_propagator_product((3,), preset_constant(3, order=12),
-                                  F(0), F(1), F(0), F(0))
-
-
 def test_product_counts_a_repeated_place_once():
     model = parse_preset("example1(1,1)", order=12)
     once = adelic_propagator_product((3,), model, F(0), F(105), F(2), F(1), order=12)
@@ -348,6 +344,16 @@ def test_product_evaluates_the_endpoints_once_for_every_place(endpoint_calls):
     assert endpoint_calls == []
 
 
+def test_single_place_kernels_certify_their_own_prime_unless_the_model_is_free(endpoint_calls):
+    ap = kernel_solution(parse_preset("example1(1,1)", order=12), 12)
+    kernel_at(REAL_PLACE, ap, F(0), F(105))
+    kernel_at(5, ap, F(0), F(105))
+    kernel_at(5, kernel_solution(preset_free(order=12), 12), F(0), F(105))
+    vacuum_check(3, preset_constant(3, order=16), F(0), F(15), order=16)
+    vacuum_check(3, preset_free(order=16), F(0), F(3), order=16)
+    assert endpoint_calls == [(), (5,), (), (3,), ()]
+
+
 def _per_place(places, model, t_dprime, x_out, x_in):
     """Each place's factor from its own solve and kernel, or the error that raised."""
     out = []
@@ -369,8 +375,8 @@ def test_product_factors_equal_the_per_place_kernels_on_a_seeded_sweep():
             model = preset_free(order=12)
         elif family == "example1":
             model = preset_example1(rng.choice((-3, -2, -1, 1, 2, 3)), 1, order=12)
-        else:
-            model = preset_constant(1, order=12)
+        else:  # constant(w0) has wronskian w0
+            model = preset_constant(rng.choice((1, 2, 3, 5, F(1, 2), F(2, 3))), order=12)
         primes = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 4))
         places = [REAL_PLACE] + primes + [rng.choice(primes)]  # one place repeated
         rng.shuffle(places)

@@ -187,14 +187,11 @@ def test_certificate_gates_padic_evaluation():
 
 def test_certificate_checks_tail_window_per_prime():
     geometric = binomial_series(-1, 20, scale=1)  # coefficients (-1)^k
-    granted = convergence_certificate(geometric, (3,), F(3), strict=False)
-    assert granted.granted and granted.entries == ((3, True),)
-    refused = convergence_certificate(geometric, (3,), F(1, 3), strict=False)
-    assert not refused.granted
-    with pytest.raises(DivergenceError):
-        convergence_certificate(geometric, (3,), F(1, 3))
-    both = convergence_certificate(geometric, (3, 5), F(15), strict=False)
-    assert both.granted and [p for p, _ in both.entries] == [3, 5]
+    assert convergence_certificate(geometric, 3, F(3)) is None
+    with pytest.raises(DivergenceError, match=r"at t=1/3 for primes \[3\]"):
+        convergence_certificate(geometric, 3, F(1, 3))
+    assert convergence_certificate(geometric, 3, F(15)) is None
+    assert convergence_certificate(geometric, 5, F(15)) is None
 
 
 def test_preset_parsing_round_trip_and_rejects():

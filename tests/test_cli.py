@@ -374,10 +374,31 @@ def test_product_over_the_empty_place_set_is_one():
     assert report["phase_angle"] == "0/1" and report["product"] == {"re": 1.0, "im": 0.0}
 
 
-def test_product_wronskian_guard_is_usage_error():
-    proc = run_cli("product", "--places", "3", "--preset", "constant(3)",
-                   "--t1", "0", "--t2", "1")
-    assert proc.returncode == 64
+def test_product_over_a_non_unit_wronskian_matches_each_place():
+    # constant(3) has wronskian 3; each factor is that place's own kernel value
+    window = ("--preset", "constant(3)", "--t1", "0", "--t2", "15", "--x1", "1", "--x2", "2")
+    factors = run_json("product", "--places", "real,3,5", *window)["report"]["factors"]
+    assert sorted(factors) == ["3", "5", "real"]
+    for place, factor in factors.items():
+        assert factor == run_json("propagator", "--place", place, *window)["value"]
+
+
+@pytest.mark.xfail(strict=True, reason="no 2-adic kernel exists here (sqrt 5 is not in Q_2), "
+                                       "but the heuristic certificate accepts it")
+def test_padic_kernel_without_a_convergent_solution_exits_five():
+    for order in ("16", "32", "64"):
+        proc = run_cli("propagator", "--place", "2", "--preset", "example2(1,1)", "--t1", "0",
+                       "--t2", "4", "--x1", "1", "--x2", "1", "--order", order)
+        assert proc.returncode == 5, (order, proc.stdout)
+
+
+@pytest.mark.xfail(strict=True, reason="t = 2 lies outside the radius 1 of the series, "
+                                       "and the real place has no certificate")
+def test_real_kernel_outside_the_radius_of_convergence_exits_five():
+    for order in ("24", "48"):
+        proc = run_cli("propagator", "--place", "real", "--preset", "example1(1,1)",
+                       "--t1", "0", "--t2", "2", "--x1", "1", "--x2", "2", "--order", order)
+        assert proc.returncode == 5, (order, proc.stdout)
 
 
 def test_unknown_suite_name_is_usage_error():
