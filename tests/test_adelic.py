@@ -284,6 +284,15 @@ def test_free_product_over_three_places_is_exact_eighth_root():
     assert abs(product.product_value - complex(0.5, 0.5)) < 1e-12
 
 
+def test_product_over_a_non_unit_wronskian_equals_each_place():
+    # constant(3) has wronskian 3; each factor is that place's own kernel value
+    model = preset_constant(3, order=12)
+    places = (REAL_PLACE, 3, 5)
+    product = adelic_propagator_product(places, model, F(0), F(15), F(2), F(1), order=12)
+    assert product.places == places
+    assert product.factors == tuple(_per_place(places, model, F(15), F(2), F(1)))
+
+
 def test_product_counts_a_repeated_place_once():
     model = parse_preset("example1(1,1)", order=12)
     once = adelic_propagator_product((3,), model, F(0), F(105), F(2), F(1), order=12)
