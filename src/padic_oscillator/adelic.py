@@ -22,8 +22,9 @@ from typing import Mapping, Optional, Sequence
 
 from .classical_oscillator import (
     DEFAULT_ORDER,
+    AmplitudePhase,
+    EndpointData,
     OscillatorModel,
-    endpoint_data,
 )
 from .errors import (
     NormalizationError,
@@ -309,18 +310,26 @@ def _unit_samples(p: int) -> tuple:
 def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
                  method: str = "closed-form", order: int = DEFAULT_ORDER,
                  depth: Optional[int] = None) -> VacuumReport:
-    """Does the unit-ball indicator reproduce itself under the kernel?
+    """``vacuum_report`` over [t', t''] from one solve of the model at ``order``."""
+    ap = kernel_solution(model, order)
+    return vacuum_report(p, ap, kernel_window(ap, t_prime, t_dprime, (p,)), planck, method, depth)
 
-    Integrates the kernel against the unit ball in the incoming slot and
-    compares with Omega(|x''|_p) for x'' running over one representative
-    set per valuation class in [-3, 3] plus 0 — both sides depend on x''
-    only through |x''|_p, so that sampling is exhaustive.  The outer
-    factors lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own
+
+def vacuum_report(p: int, ap: AmplitudePhase, ep: EndpointData, planck=1,
+                  method: str = "closed-form", depth: Optional[int] = None) -> VacuumReport:
+    """Does the unit-ball indicator reproduce itself under the kernel of one window?
+
+    ``ep`` is the window's ``kernel_window``, certified at p.  Integrates
+    the kernel against the unit ball in the incoming slot and compares
+    with Omega(|x''|_p) for x'' running over one representative set per
+    valuation class in [-3, 3] plus 0 — both sides depend on x'' only
+    through |x''|_p, so that sampling is exhaustive.  The outer factors
+    lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own
     ``lambda_factor`` and ``norm``; chi(-A x''^2/h) is its phase at
     (x'', 0).  method 'closed-form' uses the ball integral and exact
     factor arithmetic, with deviation 0.0 for an exact match;
-    'brute-force' sums the cosets numerically.  A case fails when its
-    deviation exceeds VACUUM_TOLERANCE.
+    'brute-force' sums the cosets numerically at coset depth ``depth``.
+    A case fails when its deviation exceeds VACUUM_TOLERANCE.
 
     Also evaluates the one-way sufficient criterion
     |G'/G| < |phase_vel' * cot(phase jump)| > |h/(2m)| at the prime —
@@ -331,8 +340,6 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     if method not in ("closed-form", "brute-force"):
         raise ValueError(f"unknown vacuum method {method!r}")
     planck = Fraction(planck)
-    ap = kernel_solution(model, order)
-    ep = kernel_window(ap, t_prime, t_dprime, (p,))
     kernel = kernel_from_action(p, ap, ep, planck=planck)
     lam, norm = kernel.lambda_factor, kernel.norm
     alpha_in = -kernel.coef_in / planck
@@ -373,9 +380,9 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
     if p == 2:
         sufficient = None
     else:
-        if _is_free(model):
+        if _is_free(ap.model):
             # closed endpoint scalars of the unit-wronskian free frame
-            t1, t2 = Fraction(t_prime), Fraction(t_dprime)
+            t1, t2 = ep.t_prime, ep.t_dprime
             growth = t1 / (1 + t1 * t1)
             middle = (1 + t1 * t2) / ((1 + t1 * t1) * (t2 - t1))
         else:
@@ -383,7 +390,7 @@ def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
             middle = ep.phase_vel1 * ep.cos_diff / ep.sin_diff
         middle_norm = padic_norm(middle, p)
         sufficient = (padic_norm(growth, p) < middle_norm
-                      and middle_norm > padic_norm(planck / (2 * model.mass), p))
+                      and middle_norm > padic_norm(planck / (2 * ap.model.mass), p))
 
     return VacuumReport(p, method, planck, witness is None, witness,
                         tuple(cases), max_deviation, sufficient)
@@ -395,7 +402,7 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
     """Apply the evolution to the state's p-factor and read off the phase.
 
     Only the Omega factor is supported: the closed-form kernel integral
-    against the unit ball (``vacuum_check``'s 'closed-form' method) must
+    against the unit ball (``vacuum_report``'s 'closed-form' method) must
     land back on Omega exactly, up to the declared per-place phase,
     whose p-adic fractional part has to vanish for the vacuum; the
     reported deviation is therefore 0.0.  Raises VacuumAbsentError when
@@ -409,31 +416,23 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
             f"kind {factor.kind!r} at p={p} is out of scope"
         )
     alpha = state.alpha.get(p, Fraction(0))
-    if Fraction(t_dprime) == Fraction(t_prime):
-        return {
-            "prime": p,
-            "identity": True,
-            "deviation": 0.0,
-            "phase_jump": Fraction(0),
-            "alpha": alpha,
-            "alpha_phase_fraction": Fraction(0),
-            "trivial_phase": True,
-        }
-    report = vacuum_check(p, model, t_prime, t_dprime, planck=planck,
-                          method="closed-form", order=order)
-    if not report.holds:
-        raise VacuumAbsentError(
-            f"p={p}: kernel does not preserve the unit-ball indicator "
-            f"(witness x''={frac_str(report.witness)})"
-        )
-    ap = kernel_solution(model, order)
-    ep = endpoint_data(ap, t_prime, t_dprime, 0, 0, primes=())
-    phase_jump = ep.phase2 - ep.phase1
+    identity = Fraction(t_dprime) == Fraction(t_prime)
+    deviation, phase_jump = 0.0, Fraction(0)
+    if not identity:
+        ap = kernel_solution(model, order)
+        ep = kernel_window(ap, t_prime, t_dprime, (p,))
+        report = vacuum_report(p, ap, ep, planck=planck)
+        if not report.holds:
+            raise VacuumAbsentError(
+                f"p={p}: kernel does not preserve the unit-ball indicator "
+                f"(witness x''={frac_str(report.witness)})"
+            )
+        deviation, phase_jump = report.max_deviation, ep.phase2 - ep.phase1
     alpha_fraction = fractional_part(alpha * phase_jump, p)
     return {
         "prime": p,
-        "identity": False,
-        "deviation": report.max_deviation,
+        "identity": identity,
+        "deviation": deviation,
         "phase_jump": phase_jump,
         "alpha": alpha,
         "alpha_phase_fraction": alpha_fraction,

@@ -98,7 +98,10 @@ def preset_free(order: int = DEFAULT_ORDER) -> OscillatorModel:
     return OscillatorModel(RationalSeries.constant(0, order), label="free")
 
 
-_PRESET_RE = re.compile(r"^(example1|example2|constant)\(([^()]*)\)$")
+#: each parametrized preset family: its builder and how many arguments it takes
+PRESETS = {"example1": (preset_example1, 2), "example2": (preset_example2, 2),
+           "constant": (preset_constant, 1)}
+_PRESET_RE = re.compile(rf"^({'|'.join(PRESETS)})\(([^()]*)\)$")
 
 
 def parse_preset(text: str, order: int = DEFAULT_ORDER) -> OscillatorModel:
@@ -110,9 +113,7 @@ def parse_preset(text: str, order: int = DEFAULT_ORDER) -> OscillatorModel:
         raise ValueError(f"unknown preset {text!r}")
     name, raw_args = match.groups()
     args = [parse_rational(piece) for piece in raw_args.split(",")] if raw_args.strip() else []
-    table = {"example1": (preset_example1, 2), "example2": (preset_example2, 2),
-             "constant": (preset_constant, 1)}
-    builder, arity = table[name]
+    builder, arity = PRESETS[name]
     if len(args) != arity:
         raise ValueError(f"{name} expects {arity} argument(s)")
     return builder(*args, order=order)
@@ -459,26 +460,21 @@ def boundary_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
 
 
 def evolution_matrix(ap: AmplitudePhase, t0, t):
-    """The 2x2 linear map (x0, k0) -> (x(t), k(t)); exact identity at t = t0."""
+    """The 2x2 linear map (x0, k0) -> (x(t), k(t)), from the kernel's action over [t0, t].
+
+    With (A, B, D) from ``action_coefficients``, k0 = -dS/dx0 and
+    k = dS/dx give b = -1/B, a = 2bD, d = 2bA and c = (ad - 1)/b, so the
+    determinant is exactly 1.  The exact identity at t = t0; elsewhere a
+    caustic or a vanishing amplitude raises ``endpoint_data``'s CausticError.
+    """
     t0, t = Fraction(t0), Fraction(t)
-    one, zero = Fraction(1), Fraction(0)
     if t == t0:
+        one, zero = Fraction(1), Fraction(0)
         return ((one, zero), (zero, one))
-    m, w = ap.model.mass, ap.model.wronskian
-    g0, g = ap.amp.evaluate(t0), ap.amp.evaluate(t)
-    if g0 == 0 or g == 0:
-        raise CausticError("amplitude vanishes at an evaluation point")
-    gd0, gd = ap.amp_vel.evaluate(t0), ap.amp_vel.evaluate(t)
-    c0, s0 = ap.cos_phase.evaluate(t0), ap.sin_phase.evaluate(t0)
-    c, s = ap.cos_phase.evaluate(t), ap.sin_phase.evaluate(t)
-    cos_d = c * c0 + s * s0
-    sin_d = s * c0 - c * s0
-    pv = w / (g * g)
-    a11 = g / g0 * cos_d - g * gd0 / w * sin_d
-    a12 = g * g0 / (m * w) * sin_d
-    a21 = m * (gd / g0 - g * pv * gd0 / w) * cos_d - m * (gd * gd0 / w + g * pv / g0) * sin_d
-    a22 = g0 / w * (g * pv * cos_d + gd * sin_d)
-    return ((a11, a12), (a21, a22))
+    coef_out, coef_cross, coef_in = action_coefficients(ap, endpoint_data(ap, t0, t))
+    b = -1 / coef_cross
+    a, d = 2 * b * coef_in, 2 * b * coef_out
+    return ((a, b), ((a * d - 1) / b, d))
 
 
 def evolve_initial(ap: AmplitudePhase, x0, k0, t0, t) -> tuple[Fraction, Fraction]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .adelic import (
     adelic_propagator_product,
     discreteness_profile,
-    vacuum_check,
+    vacuum_report,
     vacuum_state,
 )
 from .classical_oscillator import (
@@ -49,7 +49,7 @@ from .errors import (
     PrecisionError,
     PrimeCutoffError,
 )
-from .exact_numbers import frac_str, parse_rational
+from .exact_numbers import _require_prime, frac_str, parse_rational
 from .gauss_analysis import GaussIntegralSpec, gauss_brute_force, gauss_closed_form
 from .propagator import (
     REAL_PLACE,
@@ -57,6 +57,7 @@ from .propagator import (
     evaluate_kernel,
     kernel_at,
     kernel_solution,
+    kernel_window,
     phase_doubling_check,
 )
 from .suites import SUITE_ORDER, run_all, run_suite
@@ -225,16 +226,15 @@ def cmd_vacuum(args) -> int:
     model = _build_model(args, order)
     planck = parse_rational(args.planck)
     t1, t2 = parse_rational(args.t1), parse_rational(args.t2)
-    reports = []
+    ap, reports = None, []
     for p in _parse_primes(args.primes):
+        _require_prime(p)  # a bad prime is reported before the one solve
+        ap = ap or kernel_solution(model, order)
+        ep = kernel_window(ap, t1, t2, (p,))
         entry: dict = {"prime": p}
-        if args.method in ("closed-form", "both"):
-            entry["closed"] = vacuum_check(p, model, t1, t2, planck=planck,
-                                           method="closed-form", order=order)
-        if args.method in ("brute-force", "both"):
-            entry["brute"] = vacuum_check(p, model, t1, t2, planck=planck,
-                                          method="brute-force", order=order,
-                                          depth=args.depth)
+        for method, key in (("closed-form", "closed"), ("brute-force", "brute")):
+            if args.method in (method, "both"):
+                entry[key] = vacuum_report(p, ap, ep, planck, method, args.depth)
         if args.method == "both":
             entry["agree"] = entry["closed"].holds == entry["brute"].holds
         reports.append(entry)

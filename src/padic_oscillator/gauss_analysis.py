@@ -178,34 +178,25 @@ def local_constancy_depth(spec: GaussIntegralSpec) -> int:
 
 
 class OraclePlan(NamedTuple):
-    """Size of one coset-sum evaluation.
+    """Size of one coset-sum evaluation, as exponents of p.
 
-    The sum runs over ``cosets`` = p^(nu+depth) samples x_j = j p^(-nu).
-    The angle of the summand is an integer mod ``modulus`` = p^level and
-    is periodic in j with a period dividing the modulus, so when there
-    are more cosets than the modulus the sum over one period is exact
-    after multiplying by cosets // modulus.
+    The sum runs over p^(nu+depth) samples x_j = j p^(-nu).  The angle of
+    the summand is an integer mod p^level and is periodic in j with a
+    period dividing that modulus, so when there are more samples than the
+    modulus the sum over one period is exact after multiplying by their
+    ratio.  No power of p is built, so a huge ball exponent costs nothing.
     """
 
     level: int
-    modulus: int
     depth: int
-    cosets: int
 
 
 def oracle_plan(spec: GaussIntegralSpec, depth: int | None = None) -> OraclePlan:
-    """Level, modulus, depth and coset count of the coset sum at the given depth.
+    """Modulus exponent and coset depth of the coset sum at the given depth.
 
     ``depth`` defaults to the local-constancy depth; a smaller one raises
     DepthTooSmallError.
     """
-    level, depth = _oracle_exponents(spec, depth)
-    p = spec.prime
-    return OraclePlan(level, p**level, depth, p ** (spec.ball_exponent + depth))
-
-
-def _oracle_exponents(spec: GaussIntegralSpec, depth: int | None) -> tuple[int, int]:
-    """(level, depth) of ``oracle_plan``, with no power of p built."""
     nu = spec.ball_exponent
     floor = local_constancy_depth(spec)
     if depth is None:
@@ -215,7 +206,7 @@ def _oracle_exponents(spec: GaussIntegralSpec, depth: int | None) -> tuple[int, 
             f"depth {depth} below the local-constancy requirement {floor}"
         )
     (v_a, _, _), (v_b, _, _) = spec.unit_parts
-    return max(0, 2 * nu - v_a, nu - v_b), depth  # a zero coefficient gives -inf
+    return OraclePlan(max(0, 2 * nu - v_a, nu - v_b), depth)  # a zero coefficient gives -inf
 
 
 def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> complex:
@@ -234,7 +225,7 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     """
     p, nu = spec.prime, spec.ball_exponent
     (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
-    level, depth = _oracle_exponents(spec, depth)
+    level, depth = oracle_plan(spec, depth)
     if level > 31 or p**level > 1 << 31:
         raise ValueError(f"oracle modulus {p}^{level} is above 2^31")
     modulus, span = p**level, min(nu + depth, level)

@@ -102,29 +102,13 @@ class RationalSeries:
     def __mul__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
             return self.scale(other)
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out))
+        return _convolve(self, other, min(self.order, other.order))
 
     __rmul__ = __mul__
 
     def mul_full(self, other: "RationalSeries") -> "RationalSeries":
         """Exact polynomial product: no truncation, order = sum of orders."""
-        out = [Fraction(0)] * (self.order + other.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out))
+        return _convolve(self, other, self.order + other.order)
 
     def __truediv__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
@@ -156,29 +140,16 @@ class RationalSeries:
         return RationalSeries(tuple(out))
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """self(inner(t)); the inner series must have zero constant term."""
+        """self(inner(t)) as a sum of truncated powers of inner; its constant term must vanish."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires a vanishing inner constant term")
         n = min(self.order, inner.order)
-        out = [Fraction(0)] * (n + 1)
-        out[0] = self.coeffs[0]
-        power = [Fraction(1)] + [Fraction(0)] * n  # running inner**k, truncated
-        for k in range(1, n + 1):
-            nxt = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(power):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = inner.coeffs[j]
-                    if b:
-                        nxt[i + j] += a * b
-            power = nxt
-            ak = self.coeffs[k]
-            if ak:
-                for idx in range(n + 1):
-                    if power[idx]:
-                        out[idx] += ak * power[idx]
-        return RationalSeries(tuple(out))
+        out, power = RationalSeries.constant(self.coeffs[0], n), RationalSeries.constant(1, n)
+        for coeff in self.coeffs[1 : n + 1]:
+            power = power * inner
+            if coeff:
+                out = out + power.scale(coeff)
+        return out
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Exact partial-sum evaluation by Horner's rule on integers.
@@ -200,6 +171,18 @@ class RationalSeries:
     def __str__(self) -> str:
         terms = [f"({c})t^{k}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
+
+
+def _convolve(left: RationalSeries, right: RationalSeries, order: int) -> RationalSeries:
+    """The product's coefficients 0..order, skipping zero coefficients of either factor."""
+    out = [Fraction(0)] * (order + 1)
+    for i, a in enumerate(left.coeffs[: order + 1]):
+        if a == 0:
+            continue
+        for j, b in enumerate(right.coeffs[: order + 1 - i]):
+            if b:
+                out[i + j] += a * b
+    return RationalSeries(tuple(out))
 
 
 # -- standard expansions ---------------------------------------------

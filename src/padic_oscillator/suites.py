@@ -13,17 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .adelic import vacuum_check
+from .adelic import vacuum_report
 from .classical_oscillator import (
+    PRESETS,
     amplitude_residual,
     boundary_action,
     classical_action,
     endpoint_data,
     parse_preset,
     phase_residual,
-    preset_constant,
-    preset_example1,
-    preset_example2,
     solve_amplitude_phase,
 )
 from .errors import CausticError
@@ -42,7 +40,7 @@ from .gauss_analysis import (
     lambda_p,
     oracle_plan,
 )
-from .propagator import compose_oracle, kernel_at, kernel_solution
+from .propagator import compose_oracle, kernel_at, kernel_solution, kernel_window
 
 
 @dataclass(frozen=True)
@@ -169,9 +167,8 @@ def suite_gauss_oracle(seed: int, cases: Optional[int] = None) -> SuiteResult:
         else:
             beta = _random_with_valuation(rng, p, -4, 4)
         spec = GaussIntegralSpec(p, alpha, beta, nu)
-        # keep the oracle affordable: redraw the rare huge-modulus combos
-        plan = oracle_plan(spec)
-        if plan.cosets > 1 << 21:
+        # keep the oracle affordable: redraw the rare specs with over 2^21 cosets
+        if p ** (nu + oracle_plan(spec).depth) > 1 << 21:
             continue
         specs.append(spec)
 
@@ -197,11 +194,7 @@ _SCALE_POOL = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(2
 def _solved(family: str, args: tuple, order: int):
     """Build and solve one preset instance; the draw pools are small, so
     repeated draws hit this cache instead of re-running the recurrence."""
-    if family == "constant":
-        model = preset_constant(args[0], order)
-    else:
-        builder = preset_example1 if family == "example1" else preset_example2
-        model = builder(*args, order=order)
+    model = PRESETS[family][0](*args, order=order)
     return model, solve_amplitude_phase(model, order)
 
 
@@ -329,11 +322,10 @@ def suite_vacuum(seed: int, cases: Optional[int] = None) -> SuiteResult:
     failures = []
     max_dev = 0.0
     for k, (preset_text, p, t2, planck, expected) in enumerate(grid):
-        model = parse_preset(preset_text, 16)
-        closed = vacuum_check(p, model, Fraction(0), t2, planck=planck,
-                              method="closed-form", order=16)
-        brute = vacuum_check(p, model, Fraction(0), t2, planck=planck,
-                             method="brute-force", order=16)
+        ap = kernel_solution(parse_preset(preset_text, 16), 16)
+        ep = kernel_window(ap, Fraction(0), t2, (p,))
+        closed = vacuum_report(p, ap, ep, planck=planck, method="closed-form")
+        brute = vacuum_report(p, ap, ep, planck=planck, method="brute-force")
         tag = f"{preset_text} p={p}"
         if expected:
             max_dev = max(max_dev, brute.max_deviation)

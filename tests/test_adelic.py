@@ -1,5 +1,6 @@
 """Multi-place assembly: adeles, vacuum invariance, products, discreteness."""
 
+import json
 import math
 import random
 import sys
@@ -38,6 +39,7 @@ from padic_oscillator.errors import (
     PrimeCutoffError,
     VacuumAbsentError,
 )
+from padic_oscillator.cli import main
 from padic_oscillator.exact_numbers import _unit_part, fractional_part, primes_upto
 from padic_oscillator.propagator import (
     REAL_PLACE,
@@ -47,6 +49,7 @@ from padic_oscillator.propagator import (
     kernel_solution,
     oscillator_kernel,
 )
+from padic_oscillator.suites import run_suite
 
 F = Fraction
 
@@ -361,6 +364,29 @@ def test_single_place_kernels_certify_their_own_prime_unless_the_model_is_free(e
     vacuum_check(3, preset_constant(3, order=16), F(0), F(15), order=16)
     vacuum_check(3, preset_free(order=16), F(0), F(3), order=16)
     assert endpoint_calls == [(), (5,), (), (3,), ()]
+
+
+def test_eigen_evolution_reads_its_phase_jump_from_the_vacuum_window(solve_calls, endpoint_calls):
+    out = eigen_evolution_check(vacuum_state(1, 3), preset_constant(3, order=16), F(0), F(15),
+                                p=3, order=16)
+    assert out["phase_jump"] == 45 and out["trivial_phase"]
+    assert solve_calls == [16]
+    assert endpoint_calls == [(3,)]
+
+
+def test_vacuum_command_solves_once_and_builds_one_window_per_prime(solve_calls, endpoint_calls,
+                                                                    capsys):
+    assert main(["vacuum", "-p", "3,5", "--preset", "constant(3)", "--t1", "0", "--t2", "15"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(row["prime"], row["agree"]) for row in reports] == [(3, True), (5, True)]
+    assert solve_calls == [24]
+    assert endpoint_calls == [(3,), (5,)]
+
+
+def test_vacuum_suite_solves_once_per_grid_row(solve_calls, endpoint_calls):
+    assert run_suite("vacuum").passed
+    assert solve_calls == [16] * 7
+    assert endpoint_calls == [(3,), (3,), (3,), (5,), (5,), (7,), ()]
 
 
 def _per_place(places, model, t_dprime, x_out, x_in):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padic_oscillator.classical_oscillator import (
     AmplitudePhase,
+    action_coefficients,
     OscillatorModel,
     momentum_series,
     amplitude_residual,
@@ -157,11 +158,11 @@ def test_coincident_endpoints_are_a_caustic():
 
 
 def test_evolution_matrix_is_symplectic_and_composes():
-    # Point values of order-24 truncations: identities hold to tail size.
+    # The determinant is exactly 1; composition holds to the order-24 tail size.
     ap = _solve(preset_example1(1, 1), order=24)
     t0, t1, t2 = F(0), F(1, 8), F(1, 4)
     (a, b), (c, d) = evolution_matrix(ap, t0, t2)
-    assert abs(float(a * d - b * c - 1)) < 1e-10
+    assert a * d - b * c == 1
     (p, q), (r, s) = evolution_matrix(ap, t0, t1)
     (e, f), (g, h) = evolution_matrix(ap, t1, t2)
     for got, want in zip((e * p + f * r, e * q + f * s, g * p + h * r, g * q + h * s),
@@ -173,8 +174,24 @@ def test_evolution_matrix_is_symplectic_and_composes():
 def test_evolution_round_trip_restores_initial_data():
     ap = _solve(preset_constant(2), order=18)
     x1, k1 = evolve_initial(ap, F(3, 2), F(-1), F(0), F(1, 4))
-    x0, k0 = evolve_initial(ap, x1, k1, F(1, 4), F(0))
-    assert abs(float(x0 - F(3, 2))) < 1e-15 and abs(float(k0 + 1)) < 1e-15
+    assert evolve_initial(ap, x1, k1, F(1, 4), F(0)) == (F(3, 2), F(-1))
+
+
+@pytest.mark.parametrize("preset", ["example1(1,1)", "example2(1,2)", "constant(3)", "free"])
+def test_evolution_matrix_is_the_kernel_action_map(preset):
+    # b = -1/B, a = 2bD and d = 2bA from the action A x''^2 + B x''x' + D x'^2,
+    # and the map carries each endpoint pair and its momenta into the other exactly
+    ap = _solve(parse_preset(preset, order=18), order=18)
+    for t0, t in ((F(0), F(1, 4)), (F(1, 8), F(1, 4)), (F(-1, 5), F(1, 3))):
+        coef_out, coef_cross, coef_in = action_coefficients(ap, endpoint_data(ap, t0, t))
+        (a, b), (_, d) = evolution_matrix(ap, t0, t)
+        assert (a, b, d) == (2 * b * coef_in, -1 / coef_cross, 2 * b * coef_out)
+        ep = endpoint_data(ap, t0, t, F(3, 2), F(-2, 3))
+        k0, k = endpoint_momenta(ap, ep)
+        assert evolve_initial(ap, F(3, 2), k0, t0, t) == (F(-2, 3), k)
+    if preset == "example1(1,1)":  # G = 1 + t vanishes at t = -1
+        with pytest.raises(CausticError, match="amplitude vanishes at an endpoint"):
+            evolution_matrix(ap, F(0), F(-1))
 
 
 def test_certificate_gates_padic_evaluation():

@@ -304,6 +304,14 @@ def test_vacuum_dyadic_closed_form_agrees_with_brute_force():
     assert row["closed"]["holds"] is True and row["agree"] is True
 
 
+
+@pytest.mark.parametrize("preset", ["free", "constant(3)"])
+def test_vacuum_rejects_a_non_prime_before_anything_else(preset):
+    proc = run_cli("vacuum", "-p", "4", "--preset", preset, "--t1", "0", "--t2", "1")
+    assert proc.returncode == 64
+    assert proc.stderr == "error: not a prime: 4\n"
+
+
 def test_discreteness_json_rows_follow_integrality():
     payload = run_json("discreteness", "--xs", "0,1,1/2,3/2,2", "--cutoff", "100")
     values = {row["x"]: row["value"] for row in payload["rows"]}

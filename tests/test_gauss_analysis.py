@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,7 +92,7 @@ def test_histogram_depth_guard():
     with pytest.raises(DepthTooSmallError):
         gauss_brute_force(spec, 1)
     plan = oracle_plan(spec, 2)
-    assert (plan.modulus, plan.depth, plan.cosets) == (9, 2, 9)
+    assert (3**plan.level, plan.depth, 3**plan.depth) == (9, 2, 9)
     # 9 cosets of weight 1/9: a unit-ball sum of unimodular terms
     assert abs(gauss_brute_force(spec, 2) - gauss_closed_form(spec).value) < 1e-12
 
@@ -101,12 +102,12 @@ def test_histogram_total_mass_counts_every_coset():
     depth = local_constancy_depth(spec)
     plan = oracle_plan(spec, depth + 1)
     assert plan.depth == depth + 1
-    assert plan.cosets == 5 ** (1 + depth + 1)
-    assert plan.cosets % plan.modulus == 0
+    assert 5 ** (1 + plan.depth) == 5 ** (1 + depth + 1)
+    assert 5 ** (1 + plan.depth) % 5**plan.level == 0
     # total mass: with alpha = beta = 0 every one of the p^(nu+depth)
     # cosets adds exp(0) = 1 at weight p^(-depth), giving the ball measure
     flat = GaussIntegralSpec(5, Fraction(0), Fraction(0), ball_exponent=1)
-    assert oracle_plan(flat, depth + 1).cosets == plan.cosets
+    assert 5 ** (1 + oracle_plan(flat, depth + 1).depth) == 5 ** (1 + plan.depth)
     assert abs(gauss_brute_force(flat, depth + 1) - 5) < 1e-12
 
 
@@ -117,7 +118,7 @@ def test_histogram_total_mass_counts_every_coset():
 def test_moduli_above_two_to_the_21_match_closed_form(p, alpha, beta):
     # the benchmark's deep-tier specs, each summed over many blocks of samples
     spec = GaussIntegralSpec(p, alpha, beta)
-    assert oracle_plan(spec).modulus > 1 << 21
+    assert p ** oracle_plan(spec).level > 1 << 21
     assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
 
 
@@ -127,7 +128,7 @@ def test_oracle_at_modulus_one_is_one_exact_sample(p):
     for spec, measure in ((GaussIntegralSpec(p, Fraction(0), Fraction(0)), 1.0),
                           (GaussIntegralSpec(p, Fraction(p * p), Fraction(p), -1), 1 / p)):
         plan = oracle_plan(spec)
-        assert (plan.modulus, plan.cosets) == (1, 1)
+        assert (p**plan.level, p ** (spec.ball_exponent + plan.depth)) == (1, 1)
         assert gauss_brute_force(spec) == measure == gauss_closed_form(spec).value
 
 
@@ -137,7 +138,7 @@ def test_oracle_at_modulus_p_sums_the_pth_roots_of_unity(p):
     linear = GaussIntegralSpec(p, Fraction(0), Fraction(1, p))
     for spec in (quadratic, linear):
         plan = oracle_plan(spec)
-        assert plan.modulus == plan.cosets == p
+        assert p**plan.level == p**plan.depth == p
     assert abs(gauss_brute_force(quadratic) - gauss_closed_form(quadratic).value) < 1e-15
     assert abs(gauss_brute_force(linear)) < 1e-15  # every p-th root once: the sum is 0
 
@@ -149,9 +150,18 @@ def test_oracle_plan_is_integral_when_cosets_are_half_the_modulus():
     spec = GaussIntegralSpec(p, Fraction(1, 8), Fraction(0), nu)
     plan = oracle_plan(spec)
     assert all(type(field) is int for field in plan)
-    assert plan.cosets == p ** (nu + plan.depth)
-    assert 2 * plan.cosets == plan.modulus
+    assert 2 * p ** (nu + plan.depth) == p**plan.level
     assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
+
+
+
+def test_oracle_plan_at_a_huge_ball_exponent_builds_no_power_of_p():
+    # p^(nu + depth) would have about 48 million digits at nu = 10^8
+    spec = GaussIntegralSpec(3, Fraction(1, 3), Fraction(0), 10**8)
+    start = time.perf_counter()
+    plan = oracle_plan(spec)
+    assert time.perf_counter() - start < 1.0
+    assert plan == (2 * 10**8 + 1, 10**8 + 1)
 
 
 def test_oracle_modulus_above_two_to_the_31_fails_fast():
@@ -164,7 +174,7 @@ def test_oracle_sample_count_above_budget_fails_fast():
     # 2^30 samples fit int64 but would run for over a minute
     spec = GaussIntegralSpec(2, Fraction(1, 2**31), Fraction(0))
     plan = oracle_plan(spec, depth=30)
-    assert min(plan.cosets, plan.modulus) == 2**30
+    assert min(2**plan.depth, 2**plan.level) == 2**30
     with pytest.raises(OracleBudgetError, match=r"1073741824 samples"):
         gauss_brute_force(spec, depth=30)
 

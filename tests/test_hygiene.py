@@ -1,4 +1,4 @@
-"""Every name a library module imports at module level is used in that module."""
+"""Every module-level import is used, and every private module-level name is referenced."""
 
 from __future__ import annotations
 
@@ -20,3 +20,31 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported if name != "annotations" and name not in used]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _defined(statement) -> list:
+    """The names a module-level statement defines: a function, a class or assignment targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else \
+        [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _read(statement) -> set:
+    """Every name a statement reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_private_module_level_name_is_referenced_outside_its_definition():
+    # a private helper that nothing reads is a left-behind copy of a rule that moved
+    statements = [(path.name, statement) for path in sorted(PACKAGE.glob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    unread = [f"{module}:{name}" for module, statement in statements
+              for name in _defined(statement)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in _read(other) for _, other in statements if other is not statement)]
+    assert not unread, f"private names defined but never read: {unread}"
