@@ -36,8 +36,6 @@ from .classical_oscillator import (
     convergence_certificate,
     endpoint_data,
     endpoint_momenta,
-    evolution_matrix,
-    evolve_initial,
     model_from_omega_coeffs,
     momentum,
     momentum_series,
@@ -96,6 +94,8 @@ from .propagator import (
     QuadraticKernel,
     compose_oracle,
     evaluate_kernel,
+    evolution_matrix,
+    evolve_initial,
     kernel_at,
     kernel_from_action,
     kernel_solution,

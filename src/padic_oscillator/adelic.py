@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .classical_oscillator import (
-    DEFAULT_ORDER,
-    AmplitudePhase,
-    EndpointData,
-    OscillatorModel,
-)
+from .classical_oscillator import DEFAULT_ORDER, OscillatorModel
 from .errors import (
     NormalizationError,
     PrimeCutoffError,
@@ -46,8 +41,9 @@ from .exact_numbers import (
 from .gauss_analysis import GaussIntegralSpec, gauss_brute_force, gauss_closed_form
 from .propagator import (
     REAL_PLACE,
-    _is_free,
+    QuadraticKernel,
     evaluate_kernel,
+    kernel_at,
     kernel_from_action,
     kernel_solution,
     kernel_window,
@@ -308,41 +304,46 @@ def _unit_samples(p: int) -> tuple:
 
 
 def vacuum_check(p: int, model: OscillatorModel, t_prime, t_dprime, planck=1,
-                 method: str = "closed-form", order: int = DEFAULT_ORDER,
-                 depth: Optional[int] = None) -> VacuumReport:
-    """``vacuum_report`` over [t', t''] from one solve of the model at ``order``."""
-    ap = kernel_solution(model, order)
-    return vacuum_report(p, ap, kernel_window(ap, t_prime, t_dprime, (p,)), planck, method, depth)
+                 method: str = "closed-form", order: int = DEFAULT_ORDER) -> VacuumReport:
+    """``vacuum_report`` for the kernel at p over [t', t''] from one solve at ``order``."""
+    _require_prime(p)
+    return vacuum_report(kernel_at(p, kernel_solution(model, order), t_prime, t_dprime, planck),
+                         method)
 
 
-def vacuum_report(p: int, ap: AmplitudePhase, ep: EndpointData, planck=1,
-                  method: str = "closed-form", depth: Optional[int] = None) -> VacuumReport:
-    """Does the unit-ball indicator reproduce itself under the kernel of one window?
+def _closed_case(kernel: QuadraticKernel, x_out: Fraction, expected: int) -> tuple:
+    """(K Omega(x''), whether it equals ``expected`` exactly) by the closed-form ball integral."""
+    h = kernel.planck
+    inner = gauss_closed_form(GaussIntegralSpec(kernel.place, -kernel.coef_in / h,
+                                                -kernel.coef_cross * x_out / h, 0))
+    if inner.magnitude is None:
+        return 0j, expected == 0
+    front = chi(-kernel.coef_out * x_out * x_out / h, kernel.place)
+    total_norm = kernel.norm * inner.magnitude
+    total_phase = kernel.lambda_factor * inner.lambda_factor * front * inner.phase
+    return (total_norm.value() * total_phase.to_complex(),
+            expected == 1 and total_norm.exponent == 0 and total_phase.angle == 0)
 
-    ``ep`` is the window's ``kernel_window``, certified at p.  Integrates
-    the kernel against the unit ball in the incoming slot and compares
-    with Omega(|x''|_p) for x'' running over one representative set per
-    valuation class in [-3, 3] plus 0 — both sides depend on x'' only
-    through |x''|_p, so that sampling is exhaustive.  The outer factors
-    lambda_p(-B/2h) and |B/h|_p^(1/2) are the kernel's own
-    ``lambda_factor`` and ``norm``; chi(-A x''^2/h) is its phase at
-    (x'', 0).  method 'closed-form' uses the ball integral and exact
-    factor arithmetic, with deviation 0.0 for an exact match;
-    'brute-force' sums the cosets numerically at coset depth ``depth``.
-    A case fails when its deviation exceeds VACUUM_TOLERANCE.
 
-    Also evaluates the one-way sufficient criterion
-    |G'/G| < |phase_vel' * cot(phase jump)| > |h/(2m)| at the prime —
-    when it passes the vacuum must be present (odd p only; at p = 2 no
-    closed criterion is available and None is reported).
+def vacuum_report(kernel: QuadraticKernel, method: str = "closed-form") -> VacuumReport:
+    """Does the unit-ball indicator reproduce itself under the kernel at its prime p?
+
+    Integrates the kernel against the unit ball in the incoming slot and
+    compares with Omega(|x''|_p) for x'' running over one representative
+    set per valuation class in [-3, 3] plus 0 — both sides depend on x''
+    only through |x''|_p, so that sampling is exhaustive.  method
+    'closed-form' uses the ball integral in exact arithmetic (deviation
+    0.0 on an exact match); 'brute-force' sums the cosets at the
+    local-constancy depth.  A case fails when its deviation exceeds
+    VACUUM_TOLERANCE.  ``sufficient_condition`` is the exact criterion at
+    odd p: the ``evolution`` ((a, b), (c, d)) of S/h lies in SL(2, Z_p)
+    (a, bh, c/h and d are p-adic integers) and K Omega(0) = 1.  At p = 2
+    it is None.
     """
+    p, h = kernel.place, kernel.planck
     _require_prime(p)
     if method not in ("closed-form", "brute-force"):
         raise ValueError(f"unknown vacuum method {method!r}")
-    planck = Fraction(planck)
-    kernel = kernel_from_action(p, ap, ep, planck=planck)
-    lam, norm = kernel.lambda_factor, kernel.norm
-    alpha_in = -kernel.coef_in / planck
 
     samples = [(Fraction(0), None)]
     for nu_x in _VACUUM_VALUATIONS:
@@ -354,46 +355,28 @@ def vacuum_report(p: int, ap: AmplitudePhase, ep: EndpointData, planck=1,
     max_deviation = 0.0
     for x_out, nu_x in samples:
         expected = omega(padic_norm(x_out, p))
-        spec = GaussIntegralSpec(p, alpha_in, -kernel.coef_cross * x_out / planck, 0)
-        front = chi(-kernel.coef_out * x_out * x_out / planck, p)
         if method == "closed-form":
-            inner = gauss_closed_form(spec)
-            if inner.magnitude is None:
-                actual = 0j
-                matches = expected == 0
-            else:
-                total_norm = norm * inner.magnitude
-                total_phase = lam * inner.lambda_factor * front * inner.phase
-                actual = total_norm.value() * total_phase.to_complex()
-                matches = (expected == 1 and total_norm.exponent == 0
-                           and total_phase.angle == 0)
+            actual, matches = _closed_case(kernel, x_out, expected)
             deviation = 0.0 if matches else abs(actual - expected)
         else:
-            inner_value = gauss_brute_force(spec, depth=depth)
-            actual = norm.value() * (lam * front).to_complex() * inner_value
+            spec = GaussIntegralSpec(p, -kernel.coef_in / h, -kernel.coef_cross * x_out / h, 0)
+            front = chi(-kernel.coef_out * x_out * x_out / h, p)
+            actual = (kernel.norm.value() * (kernel.lambda_factor * front).to_complex()
+                      * gauss_brute_force(spec))
             deviation = abs(actual - expected)
         max_deviation = max(max_deviation, deviation)
         if deviation > VACUUM_TOLERANCE and witness is None:
             witness = x_out
         cases.append(VacuumCase(x_out, nu_x, expected, actual, deviation))
 
-    if p == 2:
-        sufficient = None
-    else:
-        if _is_free(ap.model):
-            # closed endpoint scalars of the unit-wronskian free frame
-            t1, t2 = ep.t_prime, ep.t_dprime
-            growth = t1 / (1 + t1 * t1)
-            middle = (1 + t1 * t2) / ((1 + t1 * t1) * (t2 - t1))
-        else:
-            growth = ep.amp_vel1 / ep.amp1
-            middle = ep.phase_vel1 * ep.cos_diff / ep.sin_diff
-        middle_norm = padic_norm(middle, p)
-        sufficient = (padic_norm(growth, p) < middle_norm
-                      and middle_norm > padic_norm(planck / (2 * ap.model.mass), p))
+    criterion = None
+    if p != 2:
+        (a, b), (c, d) = kernel.evolution
+        criterion = (all(padic_valuation(x, p) >= 0 for x in (a, b * h, c / h, d))
+                     and _closed_case(kernel, Fraction(0), 1)[1])
 
-    return VacuumReport(p, method, planck, witness is None, witness,
-                        tuple(cases), max_deviation, sufficient)
+    return VacuumReport(p, method, h, witness is None, witness,
+                        tuple(cases), max_deviation, criterion)
 
 
 def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
@@ -421,7 +404,7 @@ def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
     if not identity:
         ap = kernel_solution(model, order)
         ep = kernel_window(ap, t_prime, t_dprime, (p,))
-        report = vacuum_report(p, ap, ep, planck=planck)
+        report = vacuum_report(kernel_from_action(p, ap, ep, planck))
         if not report.holds:
             raise VacuumAbsentError(
                 f"p={p}: kernel does not preserve the unit-ball indicator "

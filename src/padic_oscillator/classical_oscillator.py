@@ -454,30 +454,3 @@ def boundary_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
     k1, k2 = endpoint_momenta(ap, ep)
     return (ep.x_dprime * k2 - ep.x_prime * k1) / 2
 
-
-# ---------------------------------------------------------------------------
-# Initial-value problem
-
-
-def evolution_matrix(ap: AmplitudePhase, t0, t):
-    """The 2x2 linear map (x0, k0) -> (x(t), k(t)), from the kernel's action over [t0, t].
-
-    With (A, B, D) from ``action_coefficients``, k0 = -dS/dx0 and
-    k = dS/dx give b = -1/B, a = 2bD, d = 2bA and c = (ad - 1)/b, so the
-    determinant is exactly 1.  The exact identity at t = t0; elsewhere a
-    caustic or a vanishing amplitude raises ``endpoint_data``'s CausticError.
-    """
-    t0, t = Fraction(t0), Fraction(t)
-    if t == t0:
-        one, zero = Fraction(1), Fraction(0)
-        return ((one, zero), (zero, one))
-    coef_out, coef_cross, coef_in = action_coefficients(ap, endpoint_data(ap, t0, t))
-    b = -1 / coef_cross
-    a, d = 2 * b * coef_in, 2 * b * coef_out
-    return ((a, b), ((a * d - 1) / b, d))
-
-
-def evolve_initial(ap: AmplitudePhase, x0, k0, t0, t) -> tuple[Fraction, Fraction]:
-    (a11, a12), (a21, a22) = evolution_matrix(ap, t0, t)
-    x0, k0 = Fraction(x0), Fraction(k0)
-    return (a11 * x0 + a12 * k0, a21 * x0 + a22 * k0)

@@ -57,7 +57,6 @@ from .propagator import (
     evaluate_kernel,
     kernel_at,
     kernel_solution,
-    kernel_window,
     phase_doubling_check,
 )
 from .suites import SUITE_ORDER, run_all, run_suite
@@ -230,11 +229,11 @@ def cmd_vacuum(args) -> int:
     for p in _parse_primes(args.primes):
         _require_prime(p)  # a bad prime is reported before the one solve
         ap = ap or kernel_solution(model, order)
-        ep = kernel_window(ap, t1, t2, (p,))
+        kernel = kernel_at(p, ap, t1, t2, planck=planck)
         entry: dict = {"prime": p}
         for method, key in (("closed-form", "closed"), ("brute-force", "brute")):
             if args.method in (method, "both"):
-                entry[key] = vacuum_report(p, ap, ep, planck, method, args.depth)
+                entry[key] = vacuum_report(kernel, method)
         if args.method == "both":
             entry["agree"] = entry["closed"].holds == entry["brute"].holds
         reports.append(entry)
@@ -342,8 +341,6 @@ def build_parser() -> _Parser:
     vacuum.add_argument("--method", choices=("closed-form", "brute-force", "both"),
                         default="both")
     vacuum.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    vacuum.add_argument("--depth", type=int, default=None,
-                        help="coset depth override for the brute-force method")
     vacuum.set_defaults(func=cmd_vacuum)
 
     disc = subs.add_parser("discreteness", help="spatial support table")

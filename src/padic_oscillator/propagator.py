@@ -27,7 +27,6 @@ from .classical_oscillator import (
     EndpointData,
     OscillatorModel,
     action_coefficients,
-    classical_action,
     endpoint_data,
     solve_amplitude_phase,
 )
@@ -103,6 +102,17 @@ class QuadraticKernel:
         x_out, x_in = Fraction(x_out), Fraction(x_in)
         return (self.coef_out * x_out * x_out + self.coef_cross * x_out * x_in
                 + self.coef_in * x_in * x_in)
+
+    @cached_property
+    def evolution(self) -> tuple:
+        """The classical map ((a, b), (c, d)): (x', k') -> (x'', k'') that S generates.
+
+        k' = -dS/dx' and k'' = dS/dx'' give b = -1/B, a = 2bD, d = 2bA and
+        c = (ad - 1)/b, so the determinant is exactly 1.
+        """
+        b = -1 / self.coef_cross
+        a, d = 2 * b * self.coef_in, 2 * b * self.coef_out
+        return ((a, b), ((a * d - 1) / b, d))
 
     @cached_property
     def lambda_factor(self) -> UnitPhase:
@@ -187,6 +197,24 @@ def oscillator_kernel(place, model: OscillatorModel, t_prime, t_dprime,
                       order: int = DEFAULT_ORDER) -> QuadraticKernel:
     """Convenience: solve the model and build the kernel over [t', t''] with h = 1."""
     return kernel_at(place, kernel_solution(model, order), t_prime, t_dprime)
+
+
+def evolution_matrix(ap: AmplitudePhase, t0, t) -> tuple:
+    """The map (x0, k0) -> (x(t), k(t)): the real ``kernel_at``'s ``evolution`` over [t0, t].
+
+    The exact identity at t = t0; a free model gets ((1, T/m), (0, 1))
+    exactly at any T = t - t0.  A caustic raises CausticError.
+    """
+    if Fraction(t) == Fraction(t0):
+        one, zero = Fraction(1), Fraction(0)
+        return ((one, zero), (zero, one))
+    return kernel_at(REAL_PLACE, ap, t0, t).evolution
+
+
+def evolve_initial(ap: AmplitudePhase, x0, k0, t0, t) -> tuple[Fraction, Fraction]:
+    (a11, a12), (a21, a22) = evolution_matrix(ap, t0, t)
+    x0, k0 = Fraction(x0), Fraction(k0)
+    return (a11 * x0 + a12 * k0, a21 * x0 + a22 * k0)
 
 
 def action_phase(place, scaled_action) -> UnitPhase:
@@ -281,28 +309,21 @@ def phase_doubling_check(build_model: Callable[[int], OscillatorModel],
                          places: Sequence, planck=1, order: int = DEFAULT_ORDER) -> dict:
     """Re-solve at doubled order and require stable action phase angles.
 
-    Returns {place: angle} with the real-place angle S/h mod 1 and
-    p-adic angles {-S/h}_p.  p-adic angles must agree EXACTLY between
-    order N and 2N (p-adic characters are locally constant, so any
-    truncation dust must already lie in Z_p); the real-place angle only
-    needs to agree within REAL_TOLERANCE (the real character is
-    continuous).  A zero frequency profile takes its action from the
-    closed-form free kernel at both orders.  A violation raises
-    PrecisionError.
+    Each order n reads S from the real ``kernel_at`` of one solve of
+    ``build_model(n)``, certified at no prime.  Returns {place: angle}
+    with the real-place angle S/h mod 1 and p-adic angles {-S/h}_p.
+    p-adic angles must agree EXACTLY between order N and 2N (p-adic
+    characters are locally constant, so any truncation dust must already
+    lie in Z_p); the real-place angle only needs to agree within
+    REAL_TOLERANCE (the real character is continuous).  A violation
+    raises PrecisionError.
     """
     planck = Fraction(planck)
     places = tuple(places)
     snapshots = []
     for n in (order, 2 * order):
-        model = build_model(n)
-        if _is_free(model):
-            duration = Fraction(t_dprime) - Fraction(t_prime)
-            free = QuadraticKernel.free(REAL_PLACE, duration, model.mass)
-            action = free.action(x_dprime, x_prime)
-        else:
-            ap = solve_amplitude_phase(model, n)
-            ep = endpoint_data(ap, t_prime, t_dprime, x_prime, x_dprime)
-            action = classical_action(ap, ep)
+        ap = solve_amplitude_phase(build_model(n), n)
+        action = kernel_at(REAL_PLACE, ap, t_prime, t_dprime).action(x_dprime, x_prime)
         snapshots.append({place: action_phase(place, action / planck).angle
                           for place in places})
     first, second = snapshots

@@ -24,6 +24,7 @@ from padic_oscillator.adelic import (
     omega_product,
     probability_reduction,
     vacuum_check,
+    vacuum_report,
     vacuum_state,
 )
 from padic_oscillator.classical_oscillator import (
@@ -210,11 +211,57 @@ def test_vacuum_fails_with_witness_when_planck_breaks_the_scale():
         assert report.witness == 0  # already the center point leaks mass
 
 
-def test_vacuum_sufficient_condition_is_one_way():
-    # holds=True while the sufficient criterion fails: strict > misses ties
+def test_vacuum_criterion_is_exact():
+    # the window the former one-way frame criterion missed: at h = 1 the evolution of
+    # S/h lies in SL(2, Z_3) and K Omega(0) = 1; at h = 2/3 the vacuum and the criterion fail
     model = preset_constant(3, order=16)
-    report = vacuum_check(3, model, F(0), F(1), method="closed-form")
-    assert report.holds and report.sufficient_condition is False
+    for planck, holds in ((1, True), (F(2, 3), False)):
+        for method in ("closed-form", "brute-force"):
+            report = vacuum_check(3, model, F(0), F(1), planck=planck, method=method)
+            assert report.holds is holds and report.sufficient_condition is holds
+
+
+def test_vacuum_criterion_is_false_for_an_sl2_evolution_with_eigenvalue_minus_one():
+    # the evolution lies in SL(2, Z_5), but K Omega = -Omega: Omega itself is not reproduced
+    kernel = QuadraticKernel(5, F(4, 5**7), F(-4, 5**7), F(1, 5**7))
+    assert kernel.evolution == ((F(1, 2), F(5**7, 4)), (0, 2))
+    report = vacuum_report(kernel)
+    assert not report.holds and report.sufficient_condition is False
+    assert report.cases[0].x_out == 0 and abs(report.cases[0].actual + 1) < 1e-12
+
+
+def _unit(rng, p):
+    while True:
+        k, m = rng.randint(1, 30), rng.randint(1, 30)
+        if k % p and m % p:
+            return F(rng.choice((-k, k)), m)
+
+
+def _sl2_kernel(rng, p, planck):
+    """A kernel whose evolution of S/h, ((a, bh), (c/h, d)), lies in SL(2, Z_p)."""
+    a, bh, ch = _unit(rng, p), _unit(rng, p) * F(p) ** rng.randint(0, 6), _unit(rng, p) * p
+    b, d = bh / planck, (1 + bh * ch) / a
+    return QuadraticKernel(p, d / (2 * b), -1 / b, a / (2 * b), planck=planck)
+
+
+def test_vacuum_criterion_equals_the_closed_form_verdict_on_random_kernels():
+    # 1500 kernels with v(A), v(B), v(D) in -6..6, where SL(2, Z_p) is rare, and 500
+    # drawn inside SL(2, Z_p), where the eigenvalue K Omega(0) = +-1 decides
+    rng = random.Random(20)
+    held = minus_one = 0
+    for n in range(2000):
+        p = rng.choice((3, 5, 7, 11))
+        planck = 1 if n % 2 else _unit(rng, p) * F(p) ** rng.randint(-2, 2)
+        if n < 1500:
+            coefs = [_unit(rng, p) * F(p) ** rng.randint(-6, 6) for _ in range(3)]
+            kernel = QuadraticKernel(p, *coefs, planck=planck)
+        else:
+            kernel = _sl2_kernel(rng, p, planck)
+        report = vacuum_report(kernel)
+        assert report.sufficient_condition is report.holds, kernel
+        held += report.holds
+        minus_one += abs(report.cases[0].actual + 1) < 1e-12
+    assert held > 300 and minus_one > 50  # both verdicts, and both eigenvalues, are exercised
 
 
 def test_vacuum_sufficient_condition_undefined_at_two():

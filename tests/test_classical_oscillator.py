@@ -18,8 +18,6 @@ from padic_oscillator.classical_oscillator import (
     convergence_certificate,
     endpoint_data,
     endpoint_momenta,
-    evolution_matrix,
-    evolve_initial,
     model_from_omega_coeffs,
     momentum,
     parse_preset,
@@ -33,6 +31,7 @@ from padic_oscillator.classical_oscillator import (
     trajectory_residual,
 )
 from padic_oscillator.errors import CausticError, DivergenceError
+from padic_oscillator.propagator import evolution_matrix, evolve_initial
 from padic_oscillator.series import RationalSeries, binomial_series, cos_series, sin_series
 
 F = Fraction
@@ -182,6 +181,14 @@ def test_evolution_matrix_is_the_kernel_action_map(preset):
     # b = -1/B, a = 2bD and d = 2bA from the action A x''^2 + B x''x' + D x'^2,
     # and the map carries each endpoint pair and its momenta into the other exactly
     ap = _solve(parse_preset(preset, order=18), order=18)
+    if preset == "free":  # the exact free map, also past the radius 1 of the frame series
+        for mass in (1, F(3, 2)):
+            free = _solve(OscillatorModel(ap.model.freq_sq, mass=mass), order=18)
+            for t in (F(1, 4), F(3)):
+                assert evolution_matrix(free, F(0), t) == ((1, t / mass), (0, 1))
+                k = mass * (F(-2, 3) - F(3, 2)) / t
+                assert evolve_initial(free, F(3, 2), k, F(0), t) == (F(-2, 3), k)
+        return
     for t0, t in ((F(0), F(1, 4)), (F(1, 8), F(1, 4)), (F(-1, 5), F(1, 3))):
         coef_out, coef_cross, coef_in = action_coefficients(ap, endpoint_data(ap, t0, t))
         (a, b), (_, d) = evolution_matrix(ap, t0, t)

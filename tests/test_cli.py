@@ -409,6 +409,26 @@ def test_real_kernel_outside_the_radius_of_convergence_exits_five():
         assert proc.returncode == 5, (order, proc.stdout)
 
 
+@pytest.mark.xfail(strict=True, reason="t = 3 lies outside the radius 1 of the free frame series "
+                                       "G = sqrt(1 + t^2), gamma = arctan t, and the classical "
+                                       "command neither refuses it nor uses the exact free solution")
+def test_free_classical_data_past_the_frame_radius_is_exact_or_refused():
+    # the exact action is m (x'' - x')^2 / (2T) = 1/6 and both momenta m (x'' - x')/T = 1/3
+    proc = run_cli("classical", "--preset", "free", "--t1", "0", "--t2", "3", "--x1", "1",
+                   "--x2", "2", "--order", "12")
+    if proc.returncode != 5:
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["action"]["quadratic_form"] == "1/6"
+        assert payload["momenta"] == {"k_prime": "1/3", "k_dprime": "1/3"}
+
+
+def test_vacuum_has_no_depth_override():
+    proc = run_cli("vacuum", "-p", "3", "--preset", "free", "--t1", "0", "--t2", "3",
+                   "--depth", "4")
+    assert proc.returncode == 64 and "--depth" in proc.stderr
+
+
 def test_unknown_suite_name_is_usage_error():
     proc = run_cli("suite", "no-such-suite")
     assert proc.returncode == 64

@@ -19,6 +19,8 @@ from padic_oscillator.propagator import (
     QuadraticKernel,
     compose_oracle,
     evaluate_kernel,
+    evolution_matrix,
+    kernel_at,
     kernel_from_action,
     lambda_real,
     oscillator_kernel,
@@ -171,12 +173,23 @@ def test_doubling_gate_flags_unstable_padic_angle():
                              places=(3,), order=24)
 
 
+@pytest.mark.parametrize("preset", ["example1(1,1)", "example2(1,2)", "constant(3)", "free"])
+def test_kernel_evolution_is_the_evolution_matrix(preset):
+    ap = solve_amplitude_phase(parse_preset(preset, order=18), 18)
+    for t0, t in ((F(0), F(1, 4)), (F(-1, 5), F(1, 3))):
+        kernel = kernel_at(REAL_PLACE, ap, t0, t)
+        assert kernel.evolution == evolution_matrix(ap, t0, t)
+        (a, b), (c, d) = kernel.evolution
+        assert a * d - b * c == 1
+
+
 def test_doubling_gate_free_branch_uses_the_free_action(solve_calls):
-    # m (x'' - x')^2 / (2T) = 3/4 for T = 2/3, x' = 1 and x'' = 2
+    # m (x'' - x')^2 / (2T) = 3/4 for T = 2/3, x' = 1 and x'' = 2, from the
+    # closed-form free kernel of one solve at each order
     angles = phase_doubling_check(preset_free, F(0), F(2, 3), F(1), F(2),
                                   places=(REAL_PLACE, 2, 3), order=8)
     assert angles == {REAL_PLACE: F(3, 4), 2: F(1, 4), 3: F(0)}
-    assert solve_calls == []
+    assert solve_calls == [8, 16]
 
 
 def test_composition_command_builds_its_three_kernels_from_one_solve(solve_calls, capsys):
