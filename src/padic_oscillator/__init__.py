@@ -10,18 +10,13 @@ sweeps (`suites`) and the command line (`cli`).
 """
 
 from .adelic import (
-    Adele,
     AdelicProduct,
-    AdelicState,
     GaussianGroundState,
     OmegaProduct,
-    PAdicFactor,
     VacuumReport,
     adelic_propagator_product,
     discreteness_profile,
-    eigen_evolution_check,
     omega_product,
-    probability_reduction,
     vacuum_check,
     vacuum_state,
 )
@@ -37,8 +32,6 @@ from .classical_oscillator import (
     endpoint_data,
     endpoint_momenta,
     model_from_omega_coeffs,
-    momentum,
-    momentum_series,
     parse_preset,
     phase_residual,
     preset_constant,
@@ -47,31 +40,25 @@ from .classical_oscillator import (
     preset_free,
     solve_amplitude_phase,
     trajectory_endpoints,
-    trajectory_residual,
 )
 from .errors import (
     CausticError,
     DepthTooSmallError,
     DivergenceError,
     MagnitudeOverflowError,
-    NormalizationError,
     OracleBudgetError,
     PadicOscillatorError,
     PrecisionError,
     PrimeCutoffError,
-    VacuumAbsentError,
 )
 from .exact_numbers import (
     HalfPower,
-    PAdicApprox,
     UnitPhase,
-    canonical_expansion,
     chi,
     fractional_part,
     frac_str,
     omega,
     padic_norm,
-    padic_sqrt,
     padic_valuation,
     parse_rational,
     primes_upto,
@@ -105,12 +92,7 @@ from .propagator import (
 )
 from .series import (
     RationalSeries,
-    atan_series,
     binomial_series,
-    cos_series,
-    exp_series,
-    log1p_series,
-    sin_series,
 )
 
 __version__ = "0.1.0"

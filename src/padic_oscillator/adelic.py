@@ -1,13 +1,12 @@
-"""Adelic assembly: restricted products, vacuum checks, discreteness.
+"""Adelic assembly: the product vacuum, restricted products, discreteness.
 
-A state of the oscillator over all completions at once factorizes into a
-real wavefunction times one factor per prime, with all but finitely many
-finite factors equal to the unit-ball indicator Omega.  This module
-provides the bookkeeping types for such states, the certified product
-of Omega factors that underlies spatial discreteness, the invariance
-check for the Omega vacuum under the quadratic kernel (closed form and
-brute force), and the finite partial products standing in for the
-divergent product of kernels over all places.
+The vacuum of the oscillator over all completions at once is the real
+ground state times the unit-ball indicator Omega(|x|_p) at every prime.
+This module evaluates the product of Omega over all primes with a
+prime-cutoff certificate, which gives spatial discreteness; checks that
+a p-adic kernel reproduces Omega (closed form and brute force); and
+multiplies kernel values over a finite place set, standing in for the
+divergent product over all places.
 
 Everything on the finite places is exact rational arithmetic; floats
 appear only in the real factor and in final renderings.
@@ -16,22 +15,17 @@ appear only in the real factor and in final renderings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .classical_oscillator import DEFAULT_ORDER, OscillatorModel
-from .errors import (
-    NormalizationError,
-    PrimeCutoffError,
-    VacuumAbsentError,
-)
+from .errors import PrimeCutoffError
 from .exact_numbers import (
     MILLER_RABIN_BOUND,
     _require_prime,
     chi,
     frac_str,
-    fractional_part,
     omega,
     padic_norm,
     padic_valuation,
@@ -51,54 +45,7 @@ from .propagator import (
 
 
 # ---------------------------------------------------------------------------
-# Adeles and factorized states
-
-
-@dataclass(frozen=True)
-class Adele:
-    """A rational-component adele: one real value plus one value per listed prime.
-
-    ``exception_set`` declares the finitely many primes whose component
-    may leave the unit ball; at every other prime, listed or not, the
-    component must be a p-adic integer.  Unlisted primes default to the
-    integer component 0.
-    """
-
-    real_component: Fraction | float
-    components: Mapping[int, Fraction] = field(default_factory=dict)
-    exception_set: frozenset = frozenset()
-
-    def __post_init__(self) -> None:
-        comps = {}
-        for p, value in dict(self.components).items():
-            _require_prime(p)
-            comps[p] = Fraction(value)
-        object.__setattr__(self, "components", comps)
-        exceptions = frozenset(self.exception_set)
-        for p in exceptions:
-            _require_prime(p)
-        object.__setattr__(self, "exception_set", exceptions)
-        for p, value in comps.items():
-            if p not in exceptions and padic_valuation(value, p) < 0:
-                raise ValueError(
-                    f"component {frac_str(value)} at p={p} leaves the unit ball "
-                    f"but p is not in the exception set"
-                )
-
-    def component(self, p: int) -> Fraction:
-        _require_prime(p)
-        return self.components.get(p, Fraction(0))
-
-    def norm_at(self, p: int) -> Fraction:
-        return padic_norm(self.component(p), p)
-
-    def to_json(self) -> dict:
-        real = self.real_component
-        return {
-            "real": real if isinstance(real, Fraction) else float(real),
-            "exceptions": {str(p): x for p, x in sorted(self.components.items())},
-            "S": sorted(self.exception_set),
-        }
+# The real factor of the vacuum
 
 
 @dataclass(frozen=True)
@@ -139,66 +86,9 @@ class GaussianGroundState:
         }
 
 
-@dataclass(frozen=True)
-class PAdicFactor:
-    """Finite-place factor descriptor.
-
-    kind 'omega' is the unit-ball indicator (the vacuum factor); kind
-    'declared' stands for an unspecified normalized wavefunction known
-    only through the declared value of its squared norm.
-    """
-
-    kind: str = "omega"
-    declared_norm: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("omega", "declared"):
-            raise ValueError(f"unknown finite-place factor kind {self.kind!r}")
-        object.__setattr__(self, "declared_norm", Fraction(self.declared_norm))
-
-
-@dataclass(frozen=True)
-class AdelicState:
-    """Factorized state: real factor x finite factors x Omega tail.
-
-    ``finite_factors`` holds the finitely many explicitly described
-    factors; every prime outside that map implicitly carries Omega.
-    ``alpha`` records the per-place eigenvalue bookkeeping and ``mixed``
-    marks statistical mixtures, whose spatial support is smeared.
-    """
-
-    real_factor: GaussianGroundState
-    finite_factors: Mapping[int, PAdicFactor] = field(default_factory=dict)
-    alpha: Mapping = field(default_factory=dict)
-    mixed: bool = False
-
-    def __post_init__(self) -> None:
-        factors = {}
-        for p, factor in dict(self.finite_factors).items():
-            _require_prime(p)
-            if not isinstance(factor, PAdicFactor):
-                raise TypeError("finite factors must be PAdicFactor instances")
-            factors[p] = factor
-        object.__setattr__(self, "finite_factors", factors)
-        alphas = {}
-        for place, value in dict(self.alpha).items():
-            if place != REAL_PLACE:
-                _require_prime(place)
-            alphas[place] = Fraction(value)
-        object.__setattr__(self, "alpha", alphas)
-
-    @property
-    def exception_set(self) -> frozenset:
-        return frozenset(self.finite_factors)
-
-    def factor_at(self, p: int) -> PAdicFactor:
-        _require_prime(p)
-        return self.finite_factors.get(p, PAdicFactor())
-
-
-def vacuum_state(mass, frequency, planck=1) -> AdelicState:
-    """The pure product vacuum: real ground state with an all-Omega tail."""
-    return AdelicState(GaussianGroundState(mass, frequency, planck))
+def vacuum_state(mass, frequency, planck=1) -> GaussianGroundState:
+    """The product vacuum's real factor; every prime carries Omega, left implicit."""
+    return GaussianGroundState(mass, frequency, planck)
 
 
 # ---------------------------------------------------------------------------
@@ -379,50 +269,6 @@ def vacuum_report(kernel: QuadraticKernel, method: str = "closed-form") -> Vacuu
                         tuple(cases), max_deviation, criterion)
 
 
-def eigen_evolution_check(state: AdelicState, model: OscillatorModel,
-                          t_prime, t_dprime, p: int, planck=1,
-                          order: int = DEFAULT_ORDER) -> dict:
-    """Apply the evolution to the state's p-factor and read off the phase.
-
-    Only the Omega factor is supported: the closed-form kernel integral
-    against the unit ball (``vacuum_report``'s 'closed-form' method) must
-    land back on Omega exactly, up to the declared per-place phase,
-    whose p-adic fractional part has to vanish for the vacuum; the
-    reported deviation is therefore 0.0.  Raises VacuumAbsentError when
-    the invariance fails.
-    """
-    _require_prime(p)
-    factor = state.factor_at(p)
-    if factor.kind != "omega":
-        raise ValueError(
-            "only the unit-ball vacuum factor evolves in closed form; "
-            f"kind {factor.kind!r} at p={p} is out of scope"
-        )
-    alpha = state.alpha.get(p, Fraction(0))
-    identity = Fraction(t_dprime) == Fraction(t_prime)
-    deviation, phase_jump = 0.0, Fraction(0)
-    if not identity:
-        ap = kernel_solution(model, order)
-        ep = kernel_window(ap, t_prime, t_dprime, (p,))
-        report = vacuum_report(kernel_from_action(p, ap, ep, planck))
-        if not report.holds:
-            raise VacuumAbsentError(
-                f"p={p}: kernel does not preserve the unit-ball indicator "
-                f"(witness x''={frac_str(report.witness)})"
-            )
-        deviation, phase_jump = report.max_deviation, ep.phase2 - ep.phase1
-    alpha_fraction = fractional_part(alpha * phase_jump, p)
-    return {
-        "prime": p,
-        "identity": identity,
-        "deviation": deviation,
-        "phase_jump": phase_jump,
-        "alpha": alpha,
-        "alpha_phase_fraction": alpha_fraction,
-        "trivial_phase": alpha_fraction == 0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Finite partial products of kernels
 
@@ -449,12 +295,6 @@ class AdelicProduct:
         for value in self.factors:
             total += value.lambda_factor.angle + value.phase.angle
         return total % 1
-
-    def norm_value(self) -> float:
-        out = 1.0
-        for value in self.factors:
-            out *= value.norm.value()
-        return out
 
     @property
     def product_value(self) -> complex:
@@ -508,53 +348,17 @@ def adelic_propagator_product(places, model: OscillatorModel, t_prime, t_dprime,
 # Reduction to the real marginal and discreteness
 
 
-def probability_reduction(state: AdelicState, prime_cutoff: int) -> GaussianGroundState:
-    """Integrate the squared state over every finite place, exactly.
-
-    Omega tail factors integrate to exactly 1 in the unit-ball Haar
-    normalization, so only the explicitly listed factors matter: each
-    must carry declared squared norm exactly 1.  The real factor comes
-    back unchanged as the ordinary position density.
-    """
-    for p in sorted(state.finite_factors):
-        if p > prime_cutoff:
-            raise PrimeCutoffError(
-                f"finite factor at p={p} lies beyond the cutoff {prime_cutoff}"
-            )
-        factor = state.finite_factors[p]
-        if factor.kind == "omega":
-            continue
-        if factor.declared_norm != 1:
-            raise NormalizationError(
-                f"factor at p={p} declares squared norm "
-                f"{frac_str(factor.declared_norm)} != 1"
-            )
-    return state.real_factor
-
-
-def discreteness_profile(state: AdelicState, xs: Sequence,
+def discreteness_profile(state: GaussianGroundState, xs: Sequence,
                          prime_cutoff: int = 100) -> list:
     """Tabulate |Psi(x)|^2 over the samples: real density times Omega tail.
 
     The tail kills every non-integer x exactly, so the support is the
-    integer lattice in length-scale units.  A mixed state has no sharp
-    support; its rows carry a qualitative note instead of numbers.
+    integer lattice in length-scale units.
     """
-    for p, factor in state.finite_factors.items():
-        if factor.kind != "omega":
-            raise ValueError(
-                f"factor at p={p} has no pointwise values; "
-                "discreteness needs an all-Omega tail"
-            )
     rows = []
     for x in xs:
         x = Fraction(x)
-        if state.mixed:
-            rows.append({"x": x, "value": None,
-                         "note": "mixed state: sharp support smeared out"})
-            continue
         tail = omega_product(x, prime_cutoff)
-        value = state.real_factor.density(x) if tail.value else 0.0
-        rows.append({"x": x, "value": value,
+        rows.append({"x": x, "value": state.density(x) if tail.value else 0.0,
                      "vanishing_primes": list(tail.vanishing_primes)})
     return rows

@@ -382,33 +382,6 @@ def trajectory_endpoints(ap: AmplitudePhase, ep: EndpointData) -> RationalSeries
     return ap.amp.mul_full(shape)
 
 
-def trajectory_residual(ap: AmplitudePhase, trajectory: RationalSeries) -> RationalSeries:
-    """x'' + omega^2 x for a produced trajectory; zero through order-2."""
-    return trajectory.differentiate().differentiate() + ap.model.freq_sq * trajectory
-
-
-def momentum_series(ap: AmplitudePhase, ep: EndpointData) -> RationalSeries:
-    """Momentum from the two-point closed form, as a series.
-
-    m (G'/G) x(t) + m G gamma' / sin_diff * [x''/G'' cos(gamma-gamma1)
-    - x'/G' cos(gamma2-gamma)], with the phase-difference cosines
-    expanded as composed products.  Agrees with m * (d/dt of the
-    trajectory) through order-1.
-    """
-    x = trajectory_endpoints(ap, ep)
-    slope = (x / ap.amp) * ap.amp_vel
-    basis_from = ap.cos_phase * ep.cos1 + ap.sin_phase * ep.sin1
-    basis_to = ap.cos_phase * ep.cos2 + ap.sin_phase * ep.sin2
-    bracket = basis_from * (ep.x_dprime / ep.amp2) - basis_to * (ep.x_prime / ep.amp1)
-    swing = ap.amp * ap.phase_vel * bracket / ep.sin_diff
-    return (slope + swing) * ap.model.mass
-
-
-def momentum(ap: AmplitudePhase, ep: EndpointData, t) -> Fraction:
-    """m x'(t) along the two-point trajectory, by the closed form."""
-    return momentum_series(ap, ep).evaluate(Fraction(t))
-
-
 def endpoint_momenta(ap: AmplitudePhase, ep: EndpointData) -> tuple[Fraction, Fraction]:
     """Exact momenta at both endpoints from the reduced two-point form.
 

@@ -7,9 +7,8 @@ both directions — no floating-point input on exact paths.
 
 Exit codes: 0 success; 1 suite failure; 3 oracle depth too small;
 4 caustic endpoints; 5 divergent series evaluation; 6 unstable phase
-precision; 7 prime cutoff too small; 8 non-normalized factor; 9 oracle
-sample count above its budget; 10 magnitude too large for a float;
-64 usage errors.
+precision; 7 prime cutoff too small; 9 oracle sample count above its
+budget; 10 magnitude too large for a float; 64 usage errors.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .errors import (
     DepthTooSmallError,
     DivergenceError,
     MagnitudeOverflowError,
-    NormalizationError,
     OracleBudgetError,
     PrecisionError,
     PrimeCutoffError,
@@ -69,7 +67,6 @@ _EXIT_BY_TYPE = {
     DivergenceError: 5,
     PrecisionError: 6,
     PrimeCutoffError: 7,
-    NormalizationError: 8,
     OracleBudgetError: 9,
     MagnitudeOverflowError: 10,
 }
@@ -252,7 +249,7 @@ def cmd_discreteness(args) -> int:
         for row in rows:
             writer.writerow([frac_str(row["x"]), row["value"]])
         return 0
-    _emit("discreteness", {"cutoff": args.cutoff, "state": state.real_factor, "rows": rows})
+    _emit("discreteness", {"cutoff": args.cutoff, "state": state, "rows": rows})
     return 0
 
 

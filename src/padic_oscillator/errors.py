@@ -35,10 +35,3 @@ class PrecisionError(PadicOscillatorError):
 class PrimeCutoffError(PadicOscillatorError):
     """A denominator carries a prime factor above the declared cutoff."""
 
-
-class VacuumAbsentError(PadicOscillatorError):
-    """The kernel does not preserve the unit-ball vacuum at this prime."""
-
-
-class NormalizationError(PadicOscillatorError):
-    """A state factor declares a norm different from 1."""

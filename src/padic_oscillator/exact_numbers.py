@@ -1,8 +1,7 @@
 """Exact arithmetic over the rationals and their p-adic norms.
 
 Everything in this module is exact: inputs and outputs are
-``fractions.Fraction`` values, digit vectors, or rational character
-angles.  Floating point appears only when a :class:`UnitPhase` or a
+``fractions.Fraction`` values or rational character angles.  Floating point appears only when a :class:`UnitPhase` or a
 :class:`HalfPower` is rendered as a ``complex``/``float`` at the very
 end of a computation.
 
@@ -30,9 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MagnitudeOverflowError
-
-#: default digit count for canonical expansions and square roots
-DEFAULT_DIGITS = 32
 
 _PRIME_CACHE: set[int] = set()
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -288,136 +284,6 @@ class HalfPower:
         if other.base == self.base:
             return HalfPower(self.base, self.exponent + other.exponent)
         raise ValueError("cannot merge half powers with different bases")
-
-
-@dataclass(frozen=True)
-class PAdicApprox:
-    """Truncated canonical digit expansion p**valuation * sum(d_i p**i).
-
-    ``digits[0] != 0`` unless the value is exactly zero; all digits lie
-    in ``range(p)``.
-    """
-
-    prime: int
-    valuation: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_prime(self.prime)
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
-            raise ValueError("at least one digit required")
-        if any(not 0 <= d < self.prime for d in self.digits):
-            raise ValueError("digits out of range")
-        if self.digits[0] == 0 and any(self.digits):
-            raise ValueError("leading digit must be nonzero")
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def to_rational(self) -> Fraction:
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * self.prime + d
-        return prime_power(self.prime, self.valuation) * acc
-
-    def to_json(self) -> dict:
-        return {"p": self.prime, "valuation": self.valuation, "digits": list(self.digits)}
-
-    def __str__(self) -> str:
-        body = " ".join(str(d) for d in self.digits)
-        return f"({body}) * {self.prime}^{self.valuation}"
-
-
-def _digits_of(n: int, p: int, count: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(count):
-        out.append(n % p)
-        n //= p
-    return tuple(out)
-
-
-def canonical_expansion(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdicApprox:
-    """First ``digits`` coefficients of the canonical p-adic expansion of x.
-
-    The reconstruction ``result.to_rational()`` differs from x by a
-    p-adic norm of at most ``p**-(valuation + digits)``.
-    """
-    _require_prime(p)
-    if digits < 1:
-        raise ValueError("need at least one digit")
-    v, num, den = _unit_part(x, p)
-    if num == 0:
-        return PAdicApprox(p, 0, (0,) * digits)
-    m = p**digits
-    r = num * pow(den, -1, m) % m
-    return PAdicApprox(p, v, _digits_of(r, p, digits))
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod the odd prime p, by Tonelli-Shanks."""
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:  # the least quadratic non-residue
-        z += 1
-    c, t, root = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
-    while t != 1:
-        order, t_pow = 0, t  # t has multiplicative order 2^order < 2^twos
-        while t_pow != 1:
-            t_pow, order = t_pow * t_pow % p, order + 1
-        b = pow(c, 1 << (twos - order - 1), p)
-        twos, c = order, b * b % p
-        t, root = t * c % p, root * b % p
-    return root
-
-
-def padic_sqrt(x: Fraction | int, p: int, digits: int = DEFAULT_DIGITS) -> PAdicApprox | None:
-    """A square root of x in Q_p to ``digits`` digits, or None if none exists.
-
-    Existence: the valuation must be even and the unit part a square
-    (for odd p a quadratic residue mod p; for p = 2 congruent 1 mod 8).
-    Of the two roots the one whose leading digit is at most (p-1)/2 is
-    returned; for p = 2, where both roots lead with digit 1, the root
-    congruent 1 mod 4.
-    """
-    _require_prime(p)
-    v, num, den = _unit_part(x, p)  # the unit part is num / den
-    if num == 0:
-        raise ValueError("zero has no unit digit expansion")
-    if v % 2:
-        return None
-
-    if p == 2:
-        work = digits + 2
-        modulus = 1 << work
-        u = num * pow(den, -1, modulus) % modulus
-        if u % 8 != 1:
-            return None
-        root = 1
-        for k in range(3, work):
-            if (root * root - u) % (1 << (k + 1)):
-                root += 1 << (k - 1)
-        if root % 4 != 1:
-            root = modulus - root
-        root %= 1 << digits
-    else:
-        u0 = num * pow(den, -1, p) % p
-        if pow(u0, (p - 1) // 2, p) != 1:
-            return None
-        root = _sqrt_mod_prime(u0, p)
-        k = 1
-        while k < digits:
-            k = min(2 * k, digits)
-            modulus = p**k
-            u = num * pow(den, -1, modulus) % modulus
-            root = (root + u * pow(root, -1, modulus)) * pow(2, -1, modulus) % modulus
-        if root % p > (p - 1) // 2:
-            root = p**digits - root
-
-    return PAdicApprox(p, v // 2, _digits_of(root, p, digits))
 
 
 def real_norm(x: Fraction | int) -> Fraction:

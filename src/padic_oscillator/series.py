@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -183,42 +183,6 @@ def _convolve(left: RationalSeries, right: RationalSeries, order: int) -> Ration
             if b:
                 out[i + j] += a * b
     return RationalSeries(tuple(out))
-
-
-# -- standard expansions ---------------------------------------------
-
-
-def sin_series(order: int) -> RationalSeries:
-    coeffs = [
-        Fraction((-1) ** (k // 2), factorial(k)) if k % 2 else Fraction(0)
-        for k in range(order + 1)
-    ]
-    return RationalSeries.from_coeffs(coeffs, order=order)
-
-
-def cos_series(order: int) -> RationalSeries:
-    coeffs = [
-        Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else Fraction(0)
-        for k in range(order + 1)
-    ]
-    return RationalSeries.from_coeffs(coeffs, order=order)
-
-
-def exp_series(order: int) -> RationalSeries:
-    return RationalSeries.from_coeffs([Fraction(1, factorial(k)) for k in range(order + 1)])
-
-
-def log1p_series(order: int) -> RationalSeries:
-    """log(1 + t)."""
-    coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    return RationalSeries.from_coeffs(coeffs, order=order)
-
-
-def atan_series(order: int) -> RationalSeries:
-    coeffs = [
-        Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0) for k in range(order + 1)
-    ]
-    return RationalSeries.from_coeffs(coeffs, order=order)
 
 
 def binomial_series(exponent: Scalar, order: int, scale: Scalar = 1) -> RationalSeries:

@@ -1,4 +1,4 @@
-"""Multi-place assembly: adeles, vacuum invariance, products, discreteness."""
+"""Multi-place assembly: vacuum invariance, products, discreteness."""
 
 import json
 import math
@@ -13,16 +13,11 @@ from hypothesis import strategies as st
 
 from padic_oscillator import classical_oscillator
 from padic_oscillator.adelic import (
-    Adele,
     AdelicProduct,
-    AdelicState,
     GaussianGroundState,
-    PAdicFactor,
     adelic_propagator_product,
     discreteness_profile,
-    eigen_evolution_check,
     omega_product,
-    probability_reduction,
     vacuum_check,
     vacuum_report,
     vacuum_state,
@@ -34,18 +29,19 @@ from padic_oscillator.classical_oscillator import (
     preset_free,
 )
 from padic_oscillator.errors import (
+    CausticError,
     DivergenceError,
-    NormalizationError,
     PadicOscillatorError,
     PrimeCutoffError,
-    VacuumAbsentError,
 )
 from padic_oscillator.cli import main
-from padic_oscillator.exact_numbers import _unit_part, fractional_part, primes_upto
+from padic_oscillator.exact_numbers import _unit_part, primes_upto
 from padic_oscillator.propagator import (
     REAL_PLACE,
     QuadraticKernel,
     evaluate_kernel,
+    evolution_matrix,
+    evolve_initial,
     kernel_at,
     kernel_solution,
     oscillator_kernel,
@@ -53,33 +49,6 @@ from padic_oscillator.propagator import (
 from padic_oscillator.suites import run_suite
 
 F = Fraction
-
-
-# -- adeles ----------------------------------------------------------------
-
-
-def test_adele_accepts_integral_components_everywhere():
-    a = Adele(F(1, 2), {3: F(2), 7: F(14)})
-    assert a.component(3) == 2
-    assert a.component(11) == 0  # unlisted primes default to 0
-    assert a.norm_at(7) == F(1, 7)
-
-
-def test_adele_requires_exception_listing_for_large_components():
-    with pytest.raises(ValueError):
-        Adele(F(0), {5: F(1, 5)})
-    ok = Adele(F(0), {5: F(1, 5)}, exception_set=frozenset({5}))
-    assert ok.norm_at(5) == 5
-    payload = ok.to_json()
-    assert payload["S"] == [5] and payload["exceptions"] == {"5": F(1, 5)}
-
-
-@given(st.integers(-40, 40), st.sampled_from([2, 3, 5, 7]))
-@settings(max_examples=60)
-def test_adele_integer_components_never_need_exceptions(n, p):
-    a = Adele(F(n), {p: F(n)})
-    assert a.exception_set == frozenset()
-    assert a.norm_at(p) <= 1
 
 
 # -- certified indicator products ------------------------------------------
@@ -281,45 +250,30 @@ def test_vacuum_rejects_trig_domain_violations():
         vacuum_check(5, model, F(0), F(3))
 
 
-# -- eigen-evolution of the finite factors ---------------------------------
+# -- the vacuum factor under the evolution ----------------------------------
 
 
 def test_evolution_of_vacuum_factor_reports_trivial_phase():
-    state = vacuum_state(1, 1)
-    model = preset_constant(3, order=16)
-    out = eigen_evolution_check(state, model, F(0), F(1), p=3)
-    assert out["identity"] is False
-    assert out["trivial_phase"] is True and out["alpha"] == 0
-    assert out["deviation"] < 1e-9
-
-
-def test_evolution_with_declared_eigenvalue_tracks_phase_fraction():
-    state = AdelicState(GaussianGroundState(1, 1), alpha={3: F(1, 3)})
-    model = preset_constant(3, order=16)
-    out = eigen_evolution_check(state, model, F(0), F(1), p=3)
-    assert out["phase_jump"] != 0
-    assert out["alpha_phase_fraction"] == fractional_part(out["alpha"] * out["phase_jump"], 3)
-    assert out["trivial_phase"] == (out["alpha_phase_fraction"] == 0)
+    # K Omega = Omega exactly: eigenvalue 1, so the vacuum factor picks up no phase
+    report = vacuum_check(3, preset_constant(3, order=16), F(0), F(1), method="closed-form")
+    assert report.holds and report.sufficient_condition
+    assert report.max_deviation == 0.0
+    assert all(case.actual == case.expected for case in report.cases)
 
 
 def test_evolution_identity_when_times_coincide():
-    state = vacuum_state(1, 1)
-    out = eigen_evolution_check(state, preset_constant(3, order=16), F(1), F(1), p=3)
-    assert out["identity"] is True and out["deviation"] == 0.0
-
-
-def test_evolution_refuses_non_vacuum_factors():
-    state = AdelicState(GaussianGroundState(1, 1),
-                        {3: PAdicFactor("declared", F(1))})
-    with pytest.raises(ValueError):
-        eigen_evolution_check(state, preset_constant(3, order=16), F(0), F(1), p=3)
+    # a zero-length window evolves by the exact identity and has no kernel
+    ap = kernel_solution(preset_constant(3, order=16), 16)
+    assert evolution_matrix(ap, F(1), F(1)) == ((1, 0), (0, 1))
+    assert evolve_initial(ap, F(2, 3), F(-5), F(1), F(1)) == (F(2, 3), F(-5))
+    with pytest.raises(CausticError):
+        vacuum_check(3, preset_constant(3, order=16), F(1), F(1))
 
 
 def test_evolution_raises_when_invariance_is_absent():
-    state = vacuum_state(1, 1)
-    model = preset_constant(3, order=16)
-    with pytest.raises(VacuumAbsentError):
-        eigen_evolution_check(state, model, F(0), F(1), p=3, planck=F(2, 3))
+    report = vacuum_check(3, preset_constant(3, order=16), F(0), F(1), planck=F(2, 3))
+    assert not report.holds and report.witness is not None
+    assert report.sufficient_condition is False
 
 
 # -- restricted products ----------------------------------------------------
@@ -330,7 +284,7 @@ def test_free_product_over_three_places_is_exact_eighth_root():
                                         F(0), F(2), F(4), F(1))
     assert product.places == (REAL_PLACE, 3, 5)
     assert product.phase_angle == F(1, 8)
-    assert abs(product.norm_value() - 1 / math.sqrt(2)) < 1e-12
+    assert abs(math.prod(f.norm.value() for f in product.factors) - 1 / math.sqrt(2)) < 1e-12
     assert abs(product.product_value - complex(0.5, 0.5)) < 1e-12
 
 
@@ -411,14 +365,6 @@ def test_single_place_kernels_certify_their_own_prime_unless_the_model_is_free(e
     vacuum_check(3, preset_constant(3, order=16), F(0), F(15), order=16)
     vacuum_check(3, preset_free(order=16), F(0), F(3), order=16)
     assert endpoint_calls == [(), (5,), (), (3,), ()]
-
-
-def test_eigen_evolution_reads_its_phase_jump_from_the_vacuum_window(solve_calls, endpoint_calls):
-    out = eigen_evolution_check(vacuum_state(1, 3), preset_constant(3, order=16), F(0), F(15),
-                                p=3, order=16)
-    assert out["phase_jump"] == 45 and out["trivial_phase"]
-    assert solve_calls == [16]
-    assert endpoint_calls == [(3,)]
 
 
 def test_vacuum_command_solves_once_and_builds_one_window_per_prime(solve_calls, endpoint_calls,
@@ -508,7 +454,8 @@ def test_rational_kernels_satisfy_the_product_formula_over_all_places():
                         for place in places)
         product = AdelicProduct(places, factors, x_out, x_in)
         assert product.phase_angle == 0, (A, B, D, h, x_out, x_in)
-        assert abs(product.norm_value() - 1) < 1e-12, (A, B, D, h, x_out, x_in)
+        assert abs(math.prod(f.norm.value() for f in factors) - 1) < 1e-12, \
+            (A, B, D, h, x_out, x_in)
         v, num, den = _unit_part(-B / (2 * h), 2)
         dyadic_classes.add((v % 2, num * den % 8))  # the unit mod 8, as den^2 = 1 mod 8
     # every class of the dyadic lambda: v even or odd, each unit mod 8
@@ -519,22 +466,10 @@ def test_rational_kernels_satisfy_the_product_formula_over_all_places():
 
 
 def test_reduction_returns_real_marginal_for_omega_tail():
+    # every Omega factor integrates to 1, so the vacuum's marginal is its real factor
     state = vacuum_state(1, 2, planck=1)
-    real = probability_reduction(state, 100)
-    assert real is state.real_factor
-    assert abs(real.density(0) - math.sqrt(4.0)) < 1e-12
-
-
-def test_reduction_enforces_declared_normalization():
-    bad = AdelicState(GaussianGroundState(1, 1),
-                      {3: PAdicFactor("declared", F(2))})
-    with pytest.raises(NormalizationError):
-        probability_reduction(bad, 100)
-    good = AdelicState(GaussianGroundState(1, 1),
-                       {3: PAdicFactor("declared", F(1))})
-    assert probability_reduction(good, 100) is good.real_factor
-    with pytest.raises(PrimeCutoffError):
-        probability_reduction(good, 2)
+    assert state == GaussianGroundState(1, 2, 1)
+    assert abs(state.density(0) - math.sqrt(4.0)) < 1e-12
 
 
 def test_discreteness_supports_exactly_the_integers():
@@ -548,16 +483,3 @@ def test_discreteness_supports_exactly_the_integers():
         else:
             assert row["value"] == 0.0
             assert row["vanishing_primes"]
-
-
-def test_discreteness_mixed_state_has_no_sharp_support():
-    state = AdelicState(GaussianGroundState(1, 1), mixed=True)
-    rows = discreteness_profile(state, [F(0), F(1, 2)])
-    assert all(row["value"] is None and "note" in row for row in rows)
-
-
-def test_discreteness_rejects_declared_factors():
-    state = AdelicState(GaussianGroundState(1, 1),
-                        {3: PAdicFactor("declared", F(1))})
-    with pytest.raises(ValueError):
-        discreteness_profile(state, [F(0)])

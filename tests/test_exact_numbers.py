@@ -1,4 +1,4 @@
-"""Scalar layer: norms, characters, expansions, square roots."""
+"""Scalar layer: norms, characters, and the square-root reference in Q_p."""
 
 import math
 import random
@@ -15,19 +15,18 @@ from padic_oscillator.exact_numbers import (
     HalfPower,
     PHASE_ONE,
     UnitPhase,
-    canonical_expansion,
     chi,
     frac_str,
     fractional_part,
     is_prime,
     omega,
     padic_norm,
-    padic_sqrt,
     padic_valuation,
     parse_rational,
     primes_upto,
     real_norm,
 )
+from reference import padic_sqrt
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
@@ -92,43 +91,29 @@ def test_valuation_of_zero_is_infinite():
     assert omega(padic_norm(0, 5)) == 1  # zero sits inside the unit ball
 
 
-@given(PRIMES, rationals)
-@settings(max_examples=100)
-def test_canonical_expansion_reconstructs_to_stated_precision(p, x):
-    approx = canonical_expansion(x, p, digits=12)
-    err = x - approx.to_rational()
-    assert padic_norm(err, p) <= Fraction(1, p**12) * padic_norm(x, p) or err == 0
-
-
-def test_canonical_expansion_frozen_digit_strings():
-    minus_one = canonical_expansion(-1, 3, digits=4)
-    assert minus_one.valuation == 0 and minus_one.digits == (2, 2, 2, 2)
-    half = canonical_expansion(Fraction(1, 2), 3, digits=3)
-    assert half.valuation == 0 and half.digits == (2, 1, 1)
-
-
 def test_square_root_existence_matches_quadratic_residues():
     # 2 is a non-residue mod 5 and mod 3, a residue mod 7
     assert padic_sqrt(2, 5) is None
     assert padic_sqrt(2, 3) is None
     root7 = padic_sqrt(2, 7, digits=6)
     assert root7 is not None
-    square = root7.to_rational() ** 2
-    assert padic_norm(square - 2, 7) <= Fraction(1, 7**6)
+    v, root = root7
+    assert v == 0 and padic_norm(root**2 - 2, 7) <= Fraction(1, 7**6)
 
 
 def test_square_root_picks_small_leading_digit():
-    root = padic_sqrt(4, 5, digits=3)
-    assert root.digits[0] == 2  # not the conjugate root leading with 3
+    v, root = padic_sqrt(4, 5, digits=3)
+    assert v == 0 and root % 5 == 2  # not the conjugate root leading with 3
 
 
 def test_square_root_at_two_needs_one_mod_eight():
     assert padic_sqrt(17, 2, digits=8) is not None
     assert padic_sqrt(3, 2) is None
     assert padic_sqrt(5, 2) is None
-    root = padic_sqrt(17, 2, digits=8)
+    v, root = padic_sqrt(17, 2, digits=8)
     # chosen branch is 1 mod 4: second digit zero
-    assert root.valuation == 0 and root.digits[0] == 1 and root.digits[1] == 0
+    assert v == 0 and root % 4 == 1
+    assert padic_norm(root**2 - 17, 2) <= Fraction(1, 2**8)
 
 
 @given(PRIMES, st.integers(1, 200))
@@ -137,10 +122,11 @@ def test_square_of_returned_root_recovers_input(p, n):
     x = Fraction(n * n)
     root = padic_sqrt(x, p, digits=10)
     assert root is not None
-    assert padic_norm(root.to_rational() ** 2 - x, p) <= Fraction(1, p**8)
+    v, unit = root
+    assert padic_norm((p**v * unit) ** 2 - x, p) <= Fraction(1, p**8)
 
 
-def _scan_sqrt_digits(u: int, p: int, digits: int):
+def _scan_sqrt(u: int, p: int, digits: int):
     """Reference for odd p: the root mod p by scanning, lifted by Newton steps."""
     if pow(u, (p - 1) // 2, p) != 1:
         return None
@@ -152,25 +138,23 @@ def _scan_sqrt_digits(u: int, p: int, digits: int):
         root = (root + u * pow(root, -1, modulus)) * pow(2, -1, modulus) % modulus
     if root % p > (p - 1) // 2:
         root = p**digits - root
-    return tuple(root // p**i % p for i in range(digits))
+    return 0, root
 
 
 def test_square_root_equals_the_scan_reference_for_every_unit_below_200():
     for p in primes_upto(199)[1:]:
         for u in range(1, p):
-            root = padic_sqrt(u, p, digits=5)
-            expected = _scan_sqrt_digits(u, p, 5)
-            assert (None if root is None else root.digits) == expected, (u, p)
+            assert padic_sqrt(u, p, digits=5) == _scan_sqrt(u, p, 5), (u, p)
 
 
 @pytest.mark.parametrize("p", [1000000000039, 1000000000121])  # 3 mod 4 and 1 mod 8
 def test_square_root_at_a_thirteen_digit_prime_is_fast(p):
     small = p // 3  # a scan for the root mod p would run p/3 steps
     start = time.perf_counter()
-    root = padic_sqrt(small * small, p)
+    v, root = padic_sqrt(small * small, p)
     assert time.perf_counter() - start < 1
-    assert root.valuation == 0 and root.digits[0] == small
-    assert padic_norm(root.to_rational() ** 2 - small * small, p) <= Fraction(1, p**32)
+    assert v == 0 and root % p == small
+    assert padic_norm(root**2 - small * small, p) <= Fraction(1, p**32)
 
 
 def test_unit_phase_group_laws():

@@ -1,8 +1,9 @@
-"""Every module-level import is used, and every private module-level name is referenced."""
+"""Every import is used, every private name is read, and every exported name has a reader."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,21 @@ def test_every_private_module_level_name_is_referenced_outside_its_definition():
               if name.startswith("_") and not name.startswith("__")
               and not any(name in _read(other) for _, other in statements if other is not statement)]
     assert not unread, f"private names defined but never read: {unread}"
+
+
+ROOT = PACKAGE.parent.parent
+OUTSIDE_READERS = [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # a name only the tests read is a test helper and belongs under tests/
+    exported = [alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    statements = [statement for path in MODULES for statement in ast.parse(path.read_text()).body]
+    outside = "\n".join(path.read_text() for path in OUTSIDE_READERS)
+    unread = [name for name in exported
+              if not any(name in _read(statement) for statement in statements
+                         if name not in _defined(statement))
+              and not re.search(rf"\b{re.escape(name)}\b", outside)]
+    assert not unread, f"exported but read only by the tests: {unread}"

