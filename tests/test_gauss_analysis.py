@@ -116,7 +116,7 @@ def test_histogram_total_mass_counts_every_coset():
     (2, Fraction(3, 2**22), Fraction(5, 2**7)),
 ])
 def test_moduli_above_two_to_the_21_match_closed_form(p, alpha, beta):
-    # the benchmark's deep-tier specs, each summed over many blocks of samples
+    # the benchmark's deep-tier specs, each a factored sum of over 4 million samples
     spec = GaussIntegralSpec(p, alpha, beta)
     assert p ** oracle_plan(spec).level > 1 << 21
     assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
@@ -171,12 +171,27 @@ def test_oracle_modulus_above_two_to_the_31_fails_fast():
 
 
 def test_oracle_sample_count_above_budget_fails_fast():
-    # 2^30 samples fit int64 but would run for over a minute
+    # 2^30 samples fit int64 but are 16 times the budget
     spec = GaussIntegralSpec(2, Fraction(1, 2**31), Fraction(0))
     plan = oracle_plan(spec, depth=30)
     assert min(2**plan.depth, 2**plan.level) == 2**30
     with pytest.raises(OracleBudgetError, match=r"1073741824 samples"):
         gauss_brute_force(spec, depth=30)
+
+
+@pytest.mark.parametrize("spec, count", [
+    (GaussIntegralSpec(2, Fraction(1, 2**27), Fraction(0)), 2**26),  # M = 2^27
+    (GaussIntegralSpec(3, Fraction(2, 3**16), Fraction(1, 3**5)), 3**16),
+    (GaussIntegralSpec(251, Fraction(1, 251**3), Fraction(0)), 251**3),  # R C = 251^2 <= 2^16
+    (GaussIntegralSpec(257, Fraction(1, 257**3), Fraction(0)), 257**3),  # 257^2 > 2^16: blocks
+])
+def test_oracle_sums_at_the_sample_budget_match_the_closed_form(spec, count):
+    # the largest sums the modulus and sample guards let through, where the int64
+    # products of the residues and the cross terms come closest to their M^2 bound,
+    # and the two sides of the factored split's limit R C <= 2^16
+    level, depth = oracle_plan(spec)
+    assert spec.prime ** min(spec.ball_exponent + depth, level) == count <= 2**26
+    assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
 
 
 def test_deeper_sampling_does_not_move_the_value():

@@ -269,6 +269,15 @@ def test_oracle_sums_are_within_fifty_bits_per_sample_of_a_30_digit_reference():
         assert _oracle_error_bound_holds(gauss_brute_force(spec), spec), spec
         assert _oracle_error_bound_holds(_ref_brute_force(spec), spec), spec
         checked += 1
+    # two sums of 2^12 to 2^15 samples at each prime, which gauss_brute_force factors
+    for p in (2, 3, 5, 7, 11) * 2:
+        while True:
+            spec = GaussIntegralSpec(p, _draw(rng, p, rng.choice((3, 40))),
+                                     _draw(rng, p, 3), rng.randint(-3, 3))
+            level, modulus, depth, cosets = _ref_plan(spec)
+            if 1 << 12 < min(cosets, modulus) <= 1 << 15:
+                break
+        assert _oracle_error_bound_holds(gauss_brute_force(spec), spec), spec
 
 
 def test_half_power_values_are_bit_identical_to_the_fraction_reference():
