@@ -112,7 +112,13 @@ def _rho_divisor(n: int) -> int:
 
 
 def prime_divisors(n: int) -> set[int]:
-    """The primes dividing 1 < n < MILLER_RABIN_BOUND, none of them below 64."""
+    """The primes dividing 1 < n < MILLER_RABIN_BOUND, none of them below 64.
+
+    n < 2 raises ValueError: rho would never find a divisor of 1 or of a
+    negative n, and 0 has every prime as a divisor.
+    """
+    if n < 2:
+        raise ValueError(f"prime divisors are defined here for n > 1, not {n}")
     if is_prime(n):
         return {n}
     d = _rho_divisor(n)

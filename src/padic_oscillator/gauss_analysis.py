@@ -17,14 +17,14 @@ The brute force sum reduces every phase to an exact integer k mod
 M = p^level and adds e(k/M) = exp(2 pi i k / M) over the sample cosets.
 Each e(k/M) is the product of two table entries, e(h 2^s / M) and
 e(l / M) with k = h 2^s + l, from two tables of 2^s <= 2^16 roots built
-once per call.  A sum of more than 2^12 samples is factored: with the
-sample index split as j = (w R + r) C + c, k_j is the residue of each part
-plus three cross terms, so about 3 count^(2/3) exact residues and roots
-suffice and the count multiply-adds run in one numpy einsum.  Smaller sums,
-and those that do not split into three factors of at least p with
-R C <= 2^16, run in plain blocks of 2^16 samples.  Either way no array
-holds more than 2^16 samples or matrix entries, so the temporaries stay a
-few MB whatever M is; numpy is imported on first use.
+once per call.  A sum of more than 2^12 samples is split in two levels,
+j = x + p^e y with 2e >= level: the y-sum then depends on x only through
+t = (2a x + b) mod p^(level - e), so a table of it is built once per t and
+about 2 count^(2/3) roots suffice instead of count (the 3^14-sample sum in
+2-3 ms rather than 9-10 ms, 2^26 samples in 9-14 ms rather than 0.14-0.16 s,
+2-vCPU VM).  Smaller sums, and those with e >= span, run in plain blocks of
+2^16 samples.  Either way no array holds more than 2^16 entries, so the
+temporaries stay a few MB whatever M is; numpy is imported on first use.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ from .exact_numbers import (
     _unit_part,
 )
 
-# Samples per plain block and entries per factored matrix: the oracle's memory bound.
+# Samples per plain block, the oracle's memory bound; the split's blocks are a quarter of it.
 _BLOCK = 1 << 16
-_CROSSOVER = 1 << 12  # larger sums are factored; up to here one plain block is faster
-_BUDGET = 1 << 26  # most samples one oracle call may sum (0.2 s factored, 1.3 s in blocks, 2-vCPU VM)
+_CROSSOVER = 1 << 12  # larger sums are split; up to here one plain block is as fast
+# Most samples one oracle call may sum: 2^26 take 9-14 ms split, and the largest
+# plain sum, 8191^2 samples (span 2), 1.2 s in blocks (2-vCPU VM).
+_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -228,22 +230,25 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     entry rather than per sample.
 
     Up to _CROSSOVER samples are summed as they are, in blocks of _BLOCK.
-    A larger sum writes j = (w R + r) C + c with W R C = count, R C = p^e
-    <= _BLOCK, C >= R and W about count^(1/3).  Then (x + y + z)^2 splits k_j
-    into quad(w R C) + quad(r C) + quad(c) plus the cross terms 2a R C^2 w r,
-    2a R C w c and 2a C r c, quad(x) = (a x + b) x mod M, and e(u + v) =
-    e(u) e(v) turns the sum into sum_{w,r} A[w,r] sum_c B[w,c] G[r,c] with
-    every entry e(residue / M).  Only A, B and G are formed, W R + W C + R C
-    roots, and einsum (no BLAS, so no thread) does the count multiply-adds,
-    a slab of w-rows at a time so that no matrix exceeds _BLOCK entries.
-    When p^2 > _BLOCK or count < p^3, e < 2 gives R = 1, nothing to save,
-    and the plain blocks run instead.
+    A larger sum splits the index in two levels, j = x + n y with n = p^e
+    and x < n.  Then k_j = quad(x) + t(x) n y + a n^2 y^2 mod M, where
+    quad(x) = (a x + b) x and t(x) = (2a x + b) mod M/n: 2a x + b - t(x) is a
+    multiple of M/n, so its product with n y is one of M.  With 2e >= level,
+    n^2 is 0 mod M as well, so the y-sum depends on x only through t < M/n.  F[t] = sum_y e(t n y / M) is tabulated once and the
+    sum is sum_x e(quad(x) / M) F[t(x)], with e(u + v) = e(u) e(v).  That is
+    n + (M/n) (count/n) roots instead of count, and e = max(ceil(level / 2),
+    ceil((level + span) / 3)) makes both terms about count^(2/3).  When
+    e >= span nothing is saved and the plain blocks run; above _CROSSOVER
+    that means span <= 2, since the local-constancy depth makes span >=
+    level - 1.  The split's blocks hold _BLOCK / 4 entries, since each also
+    holds t(x) and F[t(x)].  No matrix product is formed, so no BLAS thread.
 
-    Every int64 product is a residue below M times an index, or a product of
-    two index parts, below count <= M, so it stays below M^2.  A modulus
-    above 2^31 (int64 overflow) therefore raises ValueError, more than
-    _BUDGET samples raise OracleBudgetError and a fold of 2^1024 or more
-    MagnitudeOverflowError, all decided on exponents before any work.
+    Every int64 product stays below M count: a x + b and its residue times x
+    with x < count, t n y with t n < M and y < count / n, and
+    (2a mod M/n) x < M, as 2a x + b is reduced mod M/n before any product.
+    A modulus above 2^31 therefore raises ValueError (int64 overflow), more
+    than _BUDGET samples raise OracleBudgetError and a fold of 2^1024 or
+    more MagnitudeOverflowError, all decided on exponents before any work.
     """
     p, nu = spec.prime, spec.ball_exponent
     (v_a, a_num, a_den), (v_b, b_num, b_den) = spec.unit_parts
@@ -266,52 +271,32 @@ def gauss_brute_force(spec: GaussIntegralSpec, depth: int | None = None) -> comp
     turns = np.arange(mask + 1) * (2j * np.pi / modulus)
     low, high = np.exp(turns), np.exp(turns * (mask + 1))
 
-    # R C = p^e and W = p^(span - e) of the factored sum; e < 2 leaves nothing to factor
-    e = span - (span + 2) // 3 if count > _CROSSOVER else 0
-    while p**e > _BLOCK:
-        e -= 1
-    total = 0j
-    if e < 2:
-        for start in range(0, count, _BLOCK):
-            k = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)  # the j, then k_j
-            k = (a_red * k + b_red) % modulus * k % modulus
+    # j = x + n y with n = p^e; F[t] is the y-sum for each t = (2a x + b) mod M/n
+    e = max(-(-level // 2), -(-(level + span) // 3)) if count > _CROSSOVER else span
+    split = e < span
+    n_x, step = (p**e, _BLOCK // 4) if split else (count, _BLOCK)
+    if split:
+        n_t, ny = p ** (level - e), np.arange(p ** (span - e), dtype=np.int64) * n_x
+        table = np.empty(n_t, dtype=complex)
+        rows = max(1, step // len(ny))
+        for start in range(0, n_t, rows):
+            k = np.multiply.outer(np.arange(start, min(start + rows, n_t), dtype=np.int64), ny)
+            k %= modulus
             roots = high[k >> s]
             roots *= low[k & mask]
-            total += complex(roots.sum())
-    else:
-        def quad(j):  # (a j + b) j mod M for an int64 array j of values below M
-            return (a_red * j + b_red) % modulus * j % modulus
-
-        def root(k):  # e(k / M) for an int64 array k of residues mod M
-            out = high[k >> s]
-            out *= low[k & mask]
-            return out
-
-        n_w, n_r, n_c = p ** (span - e), p ** (e // 2), p ** (e - e // 2)
-        r, c = np.arange(n_r, dtype=np.int64), np.arange(n_c, dtype=np.int64)
-        cross_wr, cross_wc, cross_rc = (2 * a_red * step % modulus
-                                        for step in (n_r * n_c * n_c, n_r * n_c, n_c))
-        quad_r, quad_c = quad(r * n_c), quad(c)
-        k = np.multiply.outer(r, c)
-        k *= cross_rc
-        k %= modulus
-        g = root(k)  # e(2aC r c / M)
-        rows = _BLOCK // max(n_r, n_c)  # w-rows per slab: each matrix keeps <= _BLOCK entries
-        for start in range(0, n_w, rows):
-            w = np.arange(start, min(start + rows, n_w), dtype=np.int64)
-            k = np.multiply.outer(w, c)
-            k *= cross_wc
-            k += quad_c
-            k %= modulus
-            # sum over c of e((quad(c) + 2aRC w c) / M) e(2aC r c / M), with no BLAS call
-            inner = np.einsum("wc,rc->wr", root(k), g, optimize=False)
-            k = np.multiply.outer(w, r)
-            k *= cross_wr
-            k += quad(w * (n_r * n_c))[:, None]
-            k += quad_r
-            k %= modulus
-            inner *= root(k)  # times e((quad(wRC) + quad(rC) + 2aRC^2 w r) / M)
-            total += complex(inner.sum())
+            table[start:start + rows] = roots.sum(axis=1)
+        a_t, b_t = 2 * a_red % n_t, b_red % n_t
+    total = 0j
+    for start in range(0, n_x, step):
+        k = np.arange(start, min(start + step, n_x), dtype=np.int64)  # the x, then k_x
+        if split:
+            t = (a_t * k + b_t) % n_t
+        k = (a_red * k + b_red) % modulus * k % modulus
+        roots = high[k >> s]
+        roots *= low[k & mask]
+        if split:
+            roots *= table[t]
+        total += complex(roots.sum())
     return total * (p**fold if fold >= 0 else 1 / p**-fold if fold > -1100 else 0.0)
 
 

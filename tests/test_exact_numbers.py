@@ -235,6 +235,14 @@ def test_is_prime_refuses_to_guess_beyond_the_exact_bound():
         is_prime(exact_numbers.MILLER_RABIN_BOUND)
 
 
+def test_prime_divisors_refuses_n_below_two_before_any_work():
+    # rho never finds a divisor of 1 or of a negative n, and 0 raised ZeroDivisionError
+    for n in (0, 1, -7):
+        with pytest.raises(ValueError, match="n > 1"):
+            exact_numbers.prime_divisors(n)
+    assert exact_numbers.prime_divisors(67 * 71**2 * 73) == {67, 71, 73}
+
+
 # -- the integer path against the Fraction-only reference -------------------
 
 

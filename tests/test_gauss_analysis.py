@@ -21,6 +21,7 @@ from padic_oscillator.gauss_analysis import (
     local_constancy_depth,
     oracle_plan,
 )
+from padic_oscillator.propagator import lambda_real
 
 
 def test_pure_quadratic_unit_ball_with_deep_pole():
@@ -180,15 +181,18 @@ def test_oracle_sample_count_above_budget_fails_fast():
 
 
 @pytest.mark.parametrize("spec, count", [
-    (GaussIntegralSpec(2, Fraction(1, 2**27), Fraction(0)), 2**26),  # M = 2^27
-    (GaussIntegralSpec(3, Fraction(2, 3**16), Fraction(1, 3**5)), 3**16),
-    (GaussIntegralSpec(251, Fraction(1, 251**3), Fraction(0)), 251**3),  # R C = 251^2 <= 2^16
-    (GaussIntegralSpec(257, Fraction(1, 257**3), Fraction(0)), 257**3),  # 257^2 > 2^16: blocks
+    (GaussIntegralSpec(2, Fraction(1, 2**27), Fraction(0)), 2**26),  # M = 2^27, split
+    (GaussIntegralSpec(3, Fraction(2, 3**16), Fraction(1, 3**5)), 3**16),  # split
+    (GaussIntegralSpec(251, Fraction(1, 251**3), Fraction(0)), 251**3),  # split, p^2 <= 2^16
+    (GaussIntegralSpec(257, Fraction(1, 257**3), Fraction(0)), 257**3),  # split, p^2 > 2^16
+    (GaussIntegralSpec(4093, Fraction(1, 4093**2), Fraction(0)), 4093**2),  # span 2: plain blocks
 ])
 def test_oracle_sums_at_the_sample_budget_match_the_closed_form(spec, count):
     # the largest sums the modulus and sample guards let through, where the int64
-    # products of the residues and the cross terms come closest to their M^2 bound,
-    # and the two sides of the factored split's limit R C <= 2^16
+    # products of the residues come closest to their M * count bound.  Span 3 splits
+    # at every prime, 251 and 257 included; span 2 has nothing to split, so a prime
+    # with p^2 near the budget gives the plain blocks' largest sum (8191^2 samples
+    # would too, at four times the cost)
     level, depth = oracle_plan(spec)
     assert spec.prime ** min(spec.ball_exponent + depth, level) == count <= 2**26
     assert abs(gauss_brute_force(spec) - gauss_closed_form(spec).value) < 1e-9
@@ -273,6 +277,56 @@ def test_lambda_reciprocal_duality():
             lhs = lambda_p(a, p) * lambda_p(b, p)
             rhs = lambda_p(a + b, p) * lambda_p(1 / a + 1 / b, p)
             assert abs(lhs.to_complex() - rhs.to_complex()) < 1e-10
+
+
+def _trial_primes(n):
+    """The primes dividing an integer n >= 1, by trial division."""
+    primes, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+        q += 1
+    return primes | ({n} if n > 1 else set())
+
+
+def _integral_over_q_p(alpha, beta, p):
+    """gauss_closed_form on the first ball where branch 2 fires with a nonzero magnitude:
+    from there on the ball integral is the integral over all of Q_p."""
+    nu = -3  # terms <= 300 keep v(alpha) >= -8, so branch 2 cannot fire below nu = -3
+    while True:
+        got = gauss_closed_form(GaussIntegralSpec(p, alpha, beta, nu))
+        if got.branch == 2 and got.magnitude is not None:
+            return got
+        nu += 1
+
+
+def test_gauss_integrals_satisfy_weils_product_formula():
+    # prod_v of the integral of chi_v(alpha x^2 + beta x) over Q_v is 1 (Weil, Acta Math.
+    # 111, 1964).  At the real place it is lambda_real(alpha) |2 alpha|^(-1/2) with
+    # chi(-beta^2 / 4 alpha) = exp(2 pi i beta^2 / 4 alpha); a prime outside {2} and the
+    # primes of alpha and beta contributes exactly 1, so the product is finite.
+    rng = random.Random(1700)
+    zero_beta = 0
+    for _ in range(2000):
+        alpha = Fraction(rng.choice((-1, 1)) * rng.randint(1, 300), rng.randint(1, 300))
+        beta = Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(-300, 300),
+                                                                rng.randint(1, 300))
+        zero_beta += beta == 0
+        parts = (alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
+        primes = {2}.union(*(_trial_primes(abs(n)) for n in parts if n))
+        angle = lambda_real(alpha).angle + beta * beta / (4 * alpha)
+        norm = abs(2 * alpha)
+        for p in primes:
+            got = _integral_over_q_p(alpha, beta, p)
+            assert got.magnitude.base == p, (alpha, beta, p)
+            angle += got.lambda_factor.angle + got.phase.angle
+            norm *= Fraction(p) ** int(-2 * got.magnitude.exponent)
+        assert angle.denominator == 1 and norm == 1, (alpha, beta)
+        outside = next(q for q in range(3, 400) if _trial_primes(q) == {q} and q not in primes)
+        got = _integral_over_q_p(alpha, beta, outside)
+        assert got.magnitude.exponent == got.lambda_factor.angle == got.phase.angle == 0
+    assert 300 < zero_beta < 500
 
 
 @given(

@@ -22,6 +22,7 @@ from padic_oscillator.exact_numbers import (
     HalfPower,
     UnitPhase,
     chi,
+    is_prime,
     omega,
     padic_norm,
     padic_valuation,
@@ -112,24 +113,32 @@ def _ref_mod_reduce(x, modulus):
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
-def _ref_residues(spec):
-    """(k, M, fold): the exact residues k_j = (a j + b) j mod M of every coset-sum sample
-    and the fold (cosets / samples) / p^depth, from Fraction arithmetic."""
+def _ref_reduced(spec):
+    """(a, b, M, count, fold): the exact residues of alpha and beta in k_j = (a j + b) j mod M,
+    the number of samples and the fold (cosets / samples) / p^depth, from Fraction arithmetic."""
     p, alpha, beta, nu = spec.prime, spec.alpha, spec.beta, spec.ball_exponent
     level, modulus, depth, cosets = _ref_plan(spec)
     count = min(cosets, modulus)
     a_red = _ref_mod_reduce(alpha * prime_power(p, level - 2 * nu), modulus) if alpha else 0
     b_red = _ref_mod_reduce(beta * prime_power(p, level - nu), modulus) if beta else 0
+    return a_red, b_red, modulus, count, Fraction(cosets // count, p**depth)
+
+
+def _ref_residues(spec):
+    """(k, M, fold): the exact residues k_j of every coset-sum sample, M and the fold."""
+    a_red, b_red, modulus, count, fold = _ref_reduced(spec)
     j = np.arange(count, dtype=np.int64)
-    return (a_red * j + b_red) % modulus * j % modulus, modulus, Fraction(cosets // count, p**depth)
+    return (a_red * j + b_red) % modulus * j % modulus, modulus, fold
 
 
 def _ref_brute_force(spec):
     """The former oracle formula: one complex exp per sample, summed in blocks of 2^18."""
-    k, modulus, fold = _ref_residues(spec)
+    a_red, b_red, modulus, count, fold = _ref_reduced(spec)
     total = 0j
-    for start in range(0, len(k), 1 << 18):
-        total += complex(np.exp(2j * np.pi / modulus * k[start:start + (1 << 18)]).sum())
+    for start in range(0, count, 1 << 18):
+        j = np.arange(start, min(start + (1 << 18), count), dtype=np.int64)
+        k = (a_red * j + b_red) % modulus * j % modulus
+        total += complex(np.exp(2j * np.pi / modulus * k).sum())
     return total * float(fold)
 
 
@@ -278,6 +287,46 @@ def test_oracle_sums_are_within_fifty_bits_per_sample_of_a_30_digit_reference():
             if 1 << 12 < min(cosets, modulus) <= 1 << 15:
                 break
         assert _oracle_error_bound_holds(gauss_brute_force(spec), spec), spec
+
+
+def _split_draw(rng, p, accept=lambda a, modulus, count: True, beta_zero=False):
+    """A seeded spec at p with 2^12 < samples <= 2^20 whose residue a, M and count pass `accept`."""
+    while True:
+        nu = rng.randint(-3, 3)
+        alpha = _draw(rng, p, rng.choice((3, 40))) * prime_power(p, rng.randint(-12, 0))
+        beta = Fraction(0) if beta_zero else _draw(rng, p, 3) * prime_power(p, rng.randint(-12, 0))
+        spec = GaussIntegralSpec(p, alpha, beta, nu)
+        a_red, b_red, modulus, count, _ = _ref_reduced(spec)
+        if 1 << 12 < count <= 1 << 20 and accept(a_red, modulus, count):
+            return spec
+
+
+def _assert_split_matches_the_plain_reference(spec):
+    _, _, _, count, fold = _ref_reduced(spec)
+    deviation = abs(gauss_brute_force(spec) - _ref_brute_force(spec))
+    assert deviation <= 2.0**-50 * count * float(fold), (spec, deviation)
+
+
+def test_split_oracle_sums_match_the_one_exp_per_sample_reference():
+    # The 30-digit reference stops at 2^15 samples, so this sweep pins the split's
+    # index arithmetic up to 2^20: j = x + p^e y, t(x) = (2a x + b) mod M/p^e, F[t].
+    # Same 2^-50-per-sample bound.
+    rng = random.Random(1500)
+    specs = [_split_draw(rng, p) for p in (2, 3, 5, 7, 11) for _ in range(6)]
+    # span = level - 1, the only case where the coset sum has fewer samples than M
+    specs += [_split_draw(rng, 2, lambda a, modulus, count: 2 * count == modulus) for _ in range(3)]
+    specs += [_split_draw(rng, p, beta_zero=True) for p in (2, 3, 5, 7, 11)]
+    # p divides a: t(x) = (2a x + b) mod M/p^e then meets only the t = b mod p (a = 0: one t)
+    specs += [_split_draw(rng, p, lambda a, modulus, count: a % p == 0) for p in (2, 3, 5, 7, 11)]
+    assert any(spec.alpha == 0 for spec in specs)
+    for spec in specs:
+        _assert_split_matches_the_plain_reference(spec)
+    # a prime with p^2 > 2^16 at span 3 (level 3), 257^3 to 401^3 samples: the
+    # sample budget 2^26 caps span-3 primes at 406, so the count exceeds 2^20 here
+    p = rng.choice([q for q in range(257, 407) if is_prime(q)])
+    spec = GaussIntegralSpec(p, Fraction(rng.randint(1, p - 1), p**3), Fraction(rng.randint(1, p - 1), p**3))
+    assert _ref_plan(spec)[:2] == (3, p**3) and _ref_reduced(spec)[3] == p**3
+    _assert_split_matches_the_plain_reference(spec)
 
 
 def test_half_power_values_are_bit_identical_to_the_fraction_reference():
