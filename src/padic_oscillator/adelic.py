@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classical_oscillator import DEFAULT_ORDER, OscillatorModel
-from .errors import PrimeCutoffError
+from .errors import MagnitudeOverflowError, PrimeCutoffError
 from .exact_numbers import (
     MILLER_RABIN_BOUND,
+    HalfPower,
     _require_prime,
     chi,
     frac_str,
@@ -71,11 +72,23 @@ class GaussianGroundState:
 
     @property
     def length_scale(self) -> float:
-        return math.sqrt(float(self.planck / (self.mass * self.frequency)))
+        return HalfPower(self.planck / (self.mass * self.frequency), Fraction(1, 2)).value()
 
     def density(self, x) -> float:
-        scale = self.mass * self.frequency / self.planck
-        return math.sqrt(2 * float(scale)) * math.exp(-2 * math.pi * float(scale) * float(x) ** 2)
+        """sqrt(2s) exp(-2 pi s x^2) for s = m w/h, or MagnitudeOverflowError if not finite.
+
+        Once x^2 is no float (|x| >= 2^512), s x^2 is taken exactly; from
+        2^1000 on the exponential underflows to exactly 0.0.
+        """
+        scale = HalfPower(self.mass * self.frequency / self.planck, 1).value()
+        try:
+            exponent = -2 * math.pi * scale * float(x) ** 2
+        except OverflowError:
+            exponent = -2 * math.pi * float(min(Fraction(scale) * Fraction(x) ** 2, 2**1000))
+        value = math.sqrt(2 * scale) * math.exp(exponent)
+        if not math.isfinite(value):
+            raise MagnitudeOverflowError(f"the density at m w/h = {scale:g} is not a finite float")
+        return value
 
     def to_json(self) -> dict:
         return {
@@ -107,7 +120,6 @@ class OmegaProduct:
 
     value: int
     vanishing_primes: tuple
-    prime_cutoff: int
 
 
 def omega_product(x, prime_cutoff: int) -> OmegaProduct:
@@ -147,7 +159,7 @@ def omega_product(x, prime_cutoff: int) -> OmegaProduct:
         )
     if residual > 1:  # no divisor up to its square root: a prime
         vanishing.append(residual)
-    return OmegaProduct(1 if x.denominator == 1 else 0, tuple(vanishing), prime_cutoff)
+    return OmegaProduct(1 if x.denominator == 1 else 0, tuple(vanishing))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ Endpoint scalar convention.  At evaluation points the phase velocity
 is taken as W / G(t)^2 (its defining relation) rather than as a series
 evaluation, and phase differences enter only through the composed
 products sin2*cos1 - cos2*sin1 and cos2*cos1 + sin2*sin1 of the
-truncated cos/sin series values.  Under this convention the boundary
-form of the action equals the quadratic form in the endpoints exactly,
-with no truncation residue; see ``boundary_action`` and
+truncated cos/sin series values.  ``endpoint_data`` builds the window's
+action S = A x''^2 + B x'' x' + D x'^2 from these scalars once; the
+momenta are its derivatives, so the boundary form of the action equals
+the quadratic form exactly; see ``boundary_action`` and
 ``classical_action``.
 """
 
@@ -289,12 +290,11 @@ def convergence_certificate(series: RationalSeries, p: int, point) -> None:
 
 @dataclass(frozen=True)
 class EndpointData:
-    """Two-point boundary data plus every endpoint scalar downstream formulas use.
+    """Two-point boundary data and the window's action S = A x''^2 + B x'' x' + D x'^2.
 
-    phase_vel1/2 follow the scalar convention W/G^2; sin_diff/cos_diff
-    are the composed-product sine/cosine of the phase difference;
-    coef_cos/coef_sin are the exact solution (P, Q) of the linear
-    endpoint system for the trajectory shape.
+    phase_vel1/2 follow the scalar convention W/G^2; coef_cos/coef_sin
+    are the exact solution (P, Q) of the linear endpoint system for the
+    trajectory shape; coef_out, coef_cross and coef_in are A, B and D.
     """
 
     t_prime: Fraction
@@ -303,31 +303,27 @@ class EndpointData:
     x_dprime: Fraction
     amp1: Fraction
     amp2: Fraction
-    amp_vel1: Fraction
-    amp_vel2: Fraction
-    phase1: Fraction
-    phase2: Fraction
     phase_vel1: Fraction
     phase_vel2: Fraction
-    cos1: Fraction
-    sin1: Fraction
-    cos2: Fraction
-    sin2: Fraction
-    sin_diff: Fraction
-    cos_diff: Fraction
     coef_cos: Fraction
     coef_sin: Fraction
+    coef_out: Fraction
+    coef_cross: Fraction
+    coef_in: Fraction
     certified: tuple[int, ...]
 
 
 def endpoint_data(ap: AmplitudePhase, t_prime, t_dprime, x_prime=0, x_dprime=0,
                   primes=()) -> EndpointData:
-    """Solve the two-point problem x(t') = x', x(t'') = x'' exactly.
+    """Solve the two-point problem x(t') = x', x(t'') = x'' exactly, with its action.
 
     At each supplied prime, in ascending order, the amplitude and phase
     series must pass ``convergence_certificate`` at both endpoints and the
     phase values sit inside the trig domain |gamma|_p < |2|_p; otherwise
     DivergenceError.  Kernels pick their primes in ``kernel_window``.
+
+    With sin and cot of the phase difference, A = (m/2)(W/G''^2 cot + G''dot/G''),
+    B = -mW/(G' G'' sin) and D = (m/2)(W/G'^2 cot - G'dot/G').
     """
     t1, t2 = Fraction(t_prime), Fraction(t_dprime)
     x1, x2 = Fraction(x_prime), Fraction(x_dprime)
@@ -339,34 +335,29 @@ def endpoint_data(ap: AmplitudePhase, t_prime, t_dprime, x_prime=0, x_dprime=0,
     amp1, amp2 = ap.amp.evaluate(t1), ap.amp.evaluate(t2)
     if amp1 == 0 or amp2 == 0:
         raise CausticError("amplitude vanishes at an endpoint")
-    phase1, phase2 = ap.phase.evaluate(t1), ap.phase.evaluate(t2)
-    two = Fraction(2)
+    phases = ap.phase.evaluate(t1), ap.phase.evaluate(t2)
     for p in primes:
-        for value in (phase1, phase2):
-            if not padic_norm(value, p) < padic_norm(two, p):
-                raise DivergenceError(
-                    f"phase value {value} outside the trig domain at p={p}"
-                )
+        for value in phases:
+            if not padic_norm(value, p) < padic_norm(2, p):
+                raise DivergenceError(f"phase value {value} outside the trig domain at p={p}")
     cos1, sin1 = ap.cos_phase.evaluate(t1), ap.sin_phase.evaluate(t1)
     cos2, sin2 = ap.cos_phase.evaluate(t2), ap.sin_phase.evaluate(t2)
     sin_diff = sin2 * cos1 - cos2 * sin1
-    cos_diff = cos2 * cos1 + sin2 * sin1
     if sin_diff == 0:
         raise CausticError(f"degenerate endpoint pair: sin of phase difference vanishes "
                            f"(t'={t1}, t''={t2})")
-    w = ap.model.wronskian
+    cot = (cos2 * cos1 + sin2 * sin1) / sin_diff
+    m, w = ap.model.mass, ap.model.wronskian
+    phase_vel1, phase_vel2 = w / (amp1 * amp1), w / (amp2 * amp2)
     reduced1, reduced2 = x1 / amp1, x2 / amp2
-    coef_cos = (reduced1 * sin2 - reduced2 * sin1) / sin_diff
-    coef_sin = (reduced2 * cos1 - reduced1 * cos2) / sin_diff
     return EndpointData(
         t_prime=t1, x_prime=x1, t_dprime=t2, x_dprime=x2,
-        amp1=amp1, amp2=amp2,
-        amp_vel1=ap.amp_vel.evaluate(t1), amp_vel2=ap.amp_vel.evaluate(t2),
-        phase1=phase1, phase2=phase2,
-        phase_vel1=w / (amp1 * amp1), phase_vel2=w / (amp2 * amp2),
-        cos1=cos1, sin1=sin1, cos2=cos2, sin2=sin2,
-        sin_diff=sin_diff, cos_diff=cos_diff,
-        coef_cos=coef_cos, coef_sin=coef_sin,
+        amp1=amp1, amp2=amp2, phase_vel1=phase_vel1, phase_vel2=phase_vel2,
+        coef_cos=(reduced1 * sin2 - reduced2 * sin1) / sin_diff,
+        coef_sin=(reduced2 * cos1 - reduced1 * cos2) / sin_diff,
+        coef_out=m / 2 * (phase_vel2 * cot + ap.amp_vel.evaluate(t2) / amp2),
+        coef_cross=-m * w / (amp1 * amp2 * sin_diff),
+        coef_in=m / 2 * (phase_vel1 * cot - ap.amp_vel.evaluate(t1) / amp1),
         certified=primes,
     )
 
@@ -383,47 +374,20 @@ def trajectory_endpoints(ap: AmplitudePhase, ep: EndpointData) -> RationalSeries
 
 
 def endpoint_momenta(ap: AmplitudePhase, ep: EndpointData) -> tuple[Fraction, Fraction]:
-    """Exact momenta at both endpoints from the reduced two-point form.
-
-    At the endpoints the phase-difference cosines collapse (cos 0 = 1,
-    the rest is cos_diff) and the cross couplings reduce to
-    W/(G' G'' sin_diff); these are the scalars that make the boundary
-    form of the action close exactly.
-    """
-    m = ap.model.mass
-    cross = ap.model.wronskian / (ep.amp1 * ep.amp2 * ep.sin_diff)
-    cot = ep.cos_diff / ep.sin_diff
-    k1 = m * (ep.x_prime * (ep.amp_vel1 / ep.amp1 - ep.phase_vel1 * cot) + ep.x_dprime * cross)
-    k2 = m * (ep.x_dprime * (ep.amp_vel2 / ep.amp2 + ep.phase_vel2 * cot) - ep.x_prime * cross)
+    """Exact momenta k' = -dS/dx' and k'' = dS/dx'' of the window's action."""
+    k1 = -(ep.coef_cross * ep.x_dprime + 2 * ep.coef_in * ep.x_prime)
+    k2 = 2 * ep.coef_out * ep.x_dprime + ep.coef_cross * ep.x_prime
     return k1, k2
-
-
-def action_coefficients(ap: AmplitudePhase,
-                        ep: EndpointData) -> tuple[Fraction, Fraction, Fraction]:
-    """(A, B, D) of the quadratic action A x''^2 + B x'' x' + D x'^2.
-
-    The square root in the printed cross coefficient,
-    sqrt(phase_vel2 * phase_vel1), is eliminated exactly as
-    W/(G' G'') via the scalar convention.
-    """
-    m = ap.model.mass
-    cot = ep.cos_diff / ep.sin_diff
-    coef_out = m / 2 * (ep.phase_vel2 * cot + ep.amp_vel2 / ep.amp2)
-    coef_cross = -m * ap.model.wronskian / (ep.amp1 * ep.amp2 * ep.sin_diff)
-    coef_in = m / 2 * (ep.phase_vel1 * cot - ep.amp_vel1 / ep.amp1)
-    return coef_out, coef_cross, coef_in
 
 
 def classical_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
     """Action as the quadratic form in the endpoint positions."""
-    coef_out, coef_cross, coef_in = action_coefficients(ap, ep)
-    return (coef_out * ep.x_dprime * ep.x_dprime
-            + coef_cross * ep.x_dprime * ep.x_prime
-            + coef_in * ep.x_prime * ep.x_prime)
+    return (ep.coef_out * ep.x_dprime * ep.x_dprime
+            + ep.coef_cross * ep.x_dprime * ep.x_prime
+            + ep.coef_in * ep.x_prime * ep.x_prime)
 
 
 def boundary_action(ap: AmplitudePhase, ep: EndpointData) -> Fraction:
     """Action as the boundary form (m/2)(x'' xdot'' - x' xdot')."""
     k1, k2 = endpoint_momenta(ap, ep)
     return (ep.x_dprime * k2 - ep.x_prime * k1) / 2
-

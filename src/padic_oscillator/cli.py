@@ -95,13 +95,23 @@ def _encode(value):
 
 
 def _emit(command: str, payload: dict) -> None:
+    """Print the report; a float in it that is not finite prints nothing and exits 10."""
     doc = {"schema": SCHEMA, "command": command}
     doc.update(payload)
-    print(json.dumps(doc, sort_keys=True, indent=2, default=_encode))
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_encode, allow_nan=False)
+    except ValueError:  # JSON has no infinity or NaN
+        raise MagnitudeOverflowError(f"the {command} report holds a float that is not "
+                                     f"finite (a magnitude of 2^1024 or more)") from None
+    print(text)
 
 
 def _parse_place(text: str):
-    return REAL_PLACE if text == REAL_PLACE else int(text)
+    text = text.strip()
+    try:
+        return REAL_PLACE if text == REAL_PLACE else int(text)
+    except ValueError:
+        raise ValueError(f"place must be {REAL_PLACE!r} or a prime, got {text!r}") from None
 
 
 def _parse_primes(text: str) -> tuple:

@@ -225,9 +225,6 @@ class UnitPhase:
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.angle + other.angle)
 
-    def conjugate(self) -> "UnitPhase":
-        return UnitPhase(-self.angle)
-
     def to_complex(self) -> complex:
         theta = 2.0 * math.pi * (self.angle.numerator / self.angle.denominator)
         return complex(math.cos(theta), math.sin(theta))

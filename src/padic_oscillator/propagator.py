@@ -26,7 +26,6 @@ from .classical_oscillator import (
     AmplitudePhase,
     EndpointData,
     OscillatorModel,
-    action_coefficients,
     endpoint_data,
     solve_amplitude_phase,
 )
@@ -169,8 +168,7 @@ def kernel_from_action(place, ap: AmplitudePhase, ep: EndpointData, planck=1) ->
         return QuadraticKernel.free(place, ep.t_dprime - ep.t_prime, mass, planck)
     if place != REAL_PLACE and place not in ep.certified:
         raise DivergenceError(f"endpoint data not certified at p={place}")
-    coef_out, coef_cross, coef_in = action_coefficients(ap, ep)
-    return QuadraticKernel(place, coef_out, coef_cross, coef_in, mass, planck)
+    return QuadraticKernel(place, ep.coef_out, ep.coef_cross, ep.coef_in, mass, planck)
 
 
 def kernel_solution(model: OscillatorModel, order: int = DEFAULT_ORDER) -> AmplitudePhase:

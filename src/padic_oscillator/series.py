@@ -53,10 +53,6 @@ class RationalSeries:
     def constant(cls, value: Scalar, order: int) -> "RationalSeries":
         return cls.from_coeffs([value], order=order)
 
-    @classmethod
-    def identity(cls, order: int) -> "RationalSeries":
-        return cls.from_coeffs([0, 1], order=order)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -69,11 +65,6 @@ class RationalSeries:
     def is_zero_through(self, n: int) -> bool:
         return all(c == 0 for c in self.coeffs[: n + 1])
 
-    def truncate(self, order: int) -> "RationalSeries":
-        if order > self.order:
-            raise ValueError("truncation cannot extend a series")
-        return RationalSeries(self.coeffs[: order + 1])
-
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "RationalSeries | Scalar") -> "RationalSeries":
@@ -82,8 +73,6 @@ class RationalSeries:
         n = min(self.order, other.order)
         return RationalSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RationalSeries":
         return RationalSeries(tuple(-c for c in self.coeffs))
 
@@ -91,9 +80,6 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             other = RationalSeries.constant(other, self.order)
         return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "RationalSeries":
-        return (-self) + other
 
     def scale(self, factor: Scalar) -> "RationalSeries":
         f = _frac(factor)
@@ -124,20 +110,12 @@ class RationalSeries:
             out.append(acc / other.coeffs[0])
         return RationalSeries(tuple(out))
 
-    def __rtruediv__(self, other: Scalar) -> "RationalSeries":
-        return RationalSeries.constant(other, self.order) / self
-
     # -- calculus -----------------------------------------------------
 
     def differentiate(self) -> "RationalSeries":
         if self.order == 0:
             return RationalSeries((Fraction(0),))
         return RationalSeries(tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)))
-
-    def integrate(self, constant: Scalar = 0) -> "RationalSeries":
-        out = [_frac(constant)]
-        out.extend(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
-        return RationalSeries(tuple(out))
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(t)) as a sum of truncated powers of inner; its constant term must vanish."""
@@ -167,10 +145,6 @@ class RationalSeries:
             acc = acc * a + num * power
             power *= b
         return Fraction(acc, common * b**self.order)
-
-    def __str__(self) -> str:
-        terms = [f"({c})t^{k}" for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
 
 
 def _convolve(left: RationalSeries, right: RationalSeries, order: int) -> RationalSeries:

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -470,6 +471,17 @@ def test_reduction_returns_real_marginal_for_omega_tail():
     state = vacuum_state(1, 2, planck=1)
     assert state == GaussianGroundState(1, 2, 1)
     assert abs(state.density(0) - math.sqrt(4.0)) < 1e-12
+
+
+def test_density_takes_s_x_squared_exactly_once_x_squared_is_no_float():
+    # s = m w/h = 10^-320 is a float; at x = 2^520, x^2 is not, but s x^2 is about 1.2e-7
+    state, s = GaussianGroundState(1, 1, 10**320), float(F(1, 10**320))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        reference = (2 * Decimal(s)).sqrt() * (-2 * pi * Decimal(s) * 2**1040).exp()
+    assert math.isclose(state.density(2**520), float(reference), rel_tol=1e-12)
+    assert state.density(-(2**600)) == GaussianGroundState(1, 1).density(2**1100) == 0.0
 
 
 def test_discreteness_supports_exactly_the_integers():

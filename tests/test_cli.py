@@ -356,6 +356,31 @@ def test_discreteness_lists_an_eighteen_digit_prime_within_the_cutoff():
     assert payload["rows"][0]["vanishing_primes"] == [prime]
 
 
+def _main(capsys, *argv):
+    """Run the command line in process: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_discreteness_beyond_float_range_is_zero_or_exit_ten(capsys, fmt):
+    big = str(10**400)
+    # |x| past float range: exp(-2 pi s x^2) underflows for every float s > 0
+    code, out, _ = _main(capsys, "discreteness", "--xs", f"0,{big}", "--format", fmt)
+    assert code == 0
+    values = [row["value"] for row in json.loads(out)["rows"]] if fmt == "json" else \
+        [float(row[1]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert values == [math.sqrt(2.0), 0.0]
+    # a scale m w/h or, in JSON, a length h/(m w) that is no float: exit 10, nothing on stdout
+    lengths = (("--planck", big), ("--mass", f"1/{big}")) if fmt == "json" else ()
+    for flags in lengths + (("--planck", f"1/{big}"),
+                            ("--planck", f"1/{10**308}")):  # 1e308 is a float, 2e308 is not
+        code, out, err = _main(capsys, "discreteness", "--xs", "0,1", "--format", fmt, *flags)
+        assert (code, out) == (10, ""), flags
+        assert "float" in err and "Traceback" not in err
+
+
 def test_product_three_places():
     payload = run_json("product", "--places", "real,3,5", "--preset", "free",
                        "--t1", "0", "--t2", "2", "--x1", "1", "--x2", "4")
@@ -389,6 +414,27 @@ def test_product_over_a_non_unit_wronskian_matches_each_place():
     assert sorted(factors) == ["3", "5", "real"]
     for place, factor in factors.items():
         assert factor == run_json("propagator", "--place", place, *window)["value"]
+
+
+def test_product_past_float_range_exits_ten_with_nothing_on_stdout(capsys):
+    # each factor's norm is below 2^1024, their product is not: JSON has no Infinity
+    planck = str(2**2000 * 3**1200)
+    code, out, err = _main(capsys, "product", "--places", "2,3", "--preset", "free",
+                           "--t1", "0", "--t2", "1", "--planck", planck)
+    assert (code, out) == (10, "")
+    assert err.startswith("error: the product report holds a float that is not finite")
+
+
+def test_place_lists_ignore_spaces_in_any_order(capsys):
+    window = ("--preset", "free", "--t1", "0", "--t2", "2", "--x1", "1", "--x2", "4")
+    outs = {_main(capsys, "product", "--places", places, *window)
+            for places in ("real,3", "real, 3", "3, real", " 3 , real ")}
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
+    assert _main(capsys, "propagator", "--place", " real", *window) == \
+        _main(capsys, "propagator", "--place", "real", *window)
+    code, out, err = _main(capsys, "product", "--places", "real,x3", *window)
+    assert (code, out) == (64, "")
+    assert err == "error: place must be 'real' or a prime, got 'x3'\n"
 
 
 @pytest.mark.xfail(strict=True, reason="no 2-adic kernel exists here (sqrt 5 is not in Q_2), "

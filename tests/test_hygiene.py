@@ -1,8 +1,9 @@
-"""Every import is used, every private name is read, and every exported name has a reader."""
+"""Every import is used, and every private name, exported name and class member is read."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -67,3 +68,33 @@ def test_every_exported_name_is_read_outside_the_tests():
                          if name not in _defined(statement))
               and not re.search(rf"\b{re.escape(name)}\b", outside)]
     assert not unread, f"exported but read only by the tests: {unread}"
+
+
+def _methods(tree):
+    """(class name, def) for every non-dunder method, property or classmethod of a class."""
+    return [(node.name, item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def _attribute_reads(node) -> list:
+    return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+
+
+def test_every_class_member_is_read_outside_its_own_body():
+    # a method only the tests call is a test helper; an override is read by its base class
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    reads = [attr for tree in trees.values() for attr in _attribute_reads(tree)]
+    outside = "\n".join(path.read_text() for path in OUTSIDE_READERS)
+    unread = []
+    for module, tree in trees.items():
+        namespace = importlib.import_module(f"padic_oscillator.{module}")
+        for cls_name, method in _methods(tree):
+            bases = getattr(namespace, cls_name).__mro__[1:]
+            if any(hasattr(base, method.name) for base in bases):
+                continue
+            if reads.count(method.name) > _attribute_reads(method).count(method.name):
+                continue
+            if not re.search(rf"\.{re.escape(method.name)}\b", outside):
+                unread.append(f"{module}.{cls_name}.{method.name}")
+    assert not unread, f"class members read only by the tests or by themselves: {unread}"

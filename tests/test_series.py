@@ -30,7 +30,7 @@ def test_multiplication_distributes(a, b, c):
     left = a * (b + c)
     right = a * b + a * c
     n = min(left.order, right.order)
-    assert left.truncate(n).coeffs == right.truncate(n).coeffs
+    assert left.coeffs[: n + 1] == right.coeffs[: n + 1]
 
 
 @given(series_strategy)
@@ -39,25 +39,19 @@ def test_division_inverts_multiplication_when_unit(a):
     if a.coefficient(0) == 0:
         a = a + 1
     q = (a * a) / a
-    assert q.coeffs == a.truncate(q.order).coeffs
+    assert q.coeffs == a.coeffs[: q.order + 1]
 
 
 def test_reciprocal_of_geometric_series():
     one_minus_t = RationalSeries.from_coeffs([1, -1], order=6)
-    inv = 1 / one_minus_t
+    inv = RationalSeries.constant(1, 6) / one_minus_t
     assert inv.coeffs == tuple(Fraction(1) for _ in range(7))
 
 
 def test_division_by_non_unit_rejected():
-    t = RationalSeries.identity(4)
+    t = RationalSeries.from_coeffs([0, 1], order=4)
     with pytest.raises(ZeroDivisionError):
-        1 / t
-
-
-def test_derivative_and_integral_are_inverse():
-    s = RationalSeries.from_coeffs([5, 1, Fraction(1, 2), 7], order=3)
-    back = s.differentiate().integrate(constant=5)
-    assert back.coeffs == s.truncate(back.order).coeffs
+        RationalSeries.constant(1, 4) / t
 
 
 def test_composition_chain_rule_on_samples():
@@ -67,7 +61,7 @@ def test_composition_chain_rule_on_samples():
     lhs = comp.differentiate()
     rhs = outer.differentiate().compose(inner) * inner.differentiate()
     n = min(lhs.order, rhs.order)
-    assert lhs.truncate(n).coeffs == rhs.truncate(n).coeffs
+    assert lhs.coeffs[: n + 1] == rhs.coeffs[: n + 1]
 
 
 def test_composition_requires_zero_constant_term():
@@ -87,14 +81,14 @@ def test_tangent_addition_through_arctangent():
     # d/dt atan(t) produced by termwise differentiation matches 1/(1+t^2)
     n = 11
     lhs = atan_series(n).differentiate()
-    rhs = 1 / RationalSeries.from_coeffs([1, 0, 1], order=n - 1)
+    rhs = RationalSeries.constant(1, n - 1) / RationalSeries.from_coeffs([1, 0, 1], order=n - 1)
     assert lhs.coeffs == rhs.coeffs
 
 
 def test_logarithm_exponential_round_trip():
     n = 10
     expm1 = exp_series(n) - 1
-    assert log1p_series(n).compose(expm1).coeffs == RationalSeries.identity(n).coeffs
+    assert log1p_series(n).compose(expm1).coeffs == RationalSeries.from_coeffs([0, 1], order=n).coeffs
 
 
 def test_binomial_square_root_squares_back():
@@ -102,7 +96,7 @@ def test_binomial_square_root_squares_back():
     root = binomial_series(Fraction(1, 2), n)  # (1+t)^{1/2}
     square = root * root
     expect = RationalSeries.from_coeffs([1, 1], order=n)
-    assert square.coeffs == expect.truncate(square.order).coeffs
+    assert square.coeffs == expect.coeffs[: square.order + 1]
 
 
 @given(series_strategy, coeff)
