@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classical_oscillator import DEFAULT_ORDER, OscillatorModel
-from .errors import MagnitudeOverflowError, PrimeCutoffError
+from .errors import PrimeCutoffError
 from .exact_numbers import (
     MILLER_RABIN_BOUND,
     HalfPower,
@@ -75,20 +75,28 @@ class GaussianGroundState:
         return HalfPower(self.planck / (self.mass * self.frequency), Fraction(1, 2)).value()
 
     def density(self, x) -> float:
-        """sqrt(2s) exp(-2 pi s x^2) for s = m w/h, or MagnitudeOverflowError if not finite.
+        """sqrt(2s) exp(-2 pi s x^2) for s = m w/h, or MagnitudeOverflowError if sqrt(2s)
+        is no float.
 
-        Once x^2 is no float (|x| >= 2^512), s x^2 is taken exactly; from
-        2^1000 on the exponential underflows to exactly 0.0.
+        When s rounds to 0.0 or past float range, the exponent comes from the
+        exact s x^2; when x^2 is no float (|x| >= 2^512), from the rounded s
+        times the exact x^2.  From 2^1000 on the exponential underflows to 0.0.
         """
-        scale = HalfPower(self.mass * self.frequency / self.planck, 1).value()
+        s = self.mass * self.frequency / self.planck
+        root = HalfPower(2 * s, Fraction(1, 2)).value()
         try:
-            exponent = -2 * math.pi * scale * float(x) ** 2
+            scale = float(s)
         except OverflowError:
-            exponent = -2 * math.pi * float(min(Fraction(scale) * Fraction(x) ** 2, 2**1000))
-        value = math.sqrt(2 * scale) * math.exp(exponent)
-        if not math.isfinite(value):
-            raise MagnitudeOverflowError(f"the density at m w/h = {scale:g} is not a finite float")
-        return value
+            scale = 0.0
+        if scale:
+            try:
+                exponent = -2 * math.pi * scale * float(x) ** 2
+            except OverflowError:  # x^2 is no float: s as rounded, times x^2 exactly
+                s = Fraction(scale)
+            else:
+                if not math.isnan(exponent):  # nan once 2 pi s overflows and x^2 underflows
+                    return root * math.exp(exponent)
+        return root * math.exp(-2 * math.pi * float(min(s * Fraction(x) ** 2, 2**1000)))
 
     def to_json(self) -> dict:
         return {

@@ -261,10 +261,12 @@ class HalfPower:
     def value(self) -> float:
         """n^k / d^k for the base n/d and k = floor(exponent), times sqrt(n/d) for a
         half-integer exponent.  From exponent * log2(base), before any power is built:
-        0.0 below 2^-1100, MagnitudeOverflowError at 2^1024 (or if base^k overflows).
-        A base of 1 gives 1.0.  Once the exponent's numerator reaches 2^1000, the signs
-        of the exponent and of log2(base) decide alone, with no float built from the
-        exponent; that is exact for every base whose terms have under 980 bits."""
+        0.0 below 2^-1100, MagnitudeOverflowError at 2^1024.  A base of 1 gives 1.0.
+        Where base^k or sqrt(base) is no float, or their product rounds to 0.0, the value
+        is sqrt(n^(2e) / d^(2e)) rounded once from integers.  Once the exponent's
+        numerator reaches 2^1000, the signs of the exponent and of log2(base) decide
+        alone, with no float built from the exponent; that is exact for every base
+        whose terms have under 980 bits."""
         num, den = self.base.numerator, self.base.denominator
         if num == den:
             return 1.0
@@ -274,13 +276,31 @@ class HalfPower:
             bits = self.exponent * (math.log2(num) - math.log2(den))
         if bits < -1100:
             return 0.0
-        k = self.exponent.numerator // self.exponent.denominator
-        try:
-            if bits < 1024:
+        if bits < 1024:
+            k = self.exponent.numerator // self.exponent.denominator
+            try:
                 out = num**k / den**k if k >= 0 else den**-k / num**-k
-                return out * math.sqrt(num / den) if k != self.exponent else out
-        except OverflowError:
-            pass
+                if k != self.exponent:
+                    out *= math.sqrt(num / den)
+                if 0.0 < out < math.inf:
+                    return out
+            except OverflowError:
+                pass
+            # the root of top/bottom scaled by 4^shift to about 64 bits, made odd when
+            # inexact, so that the one division below rounds it correctly
+            n = int(2 * self.exponent)
+            top, bottom = (num**n, den**n) if n > 0 else (den**-n, num**-n)
+            shift = (bottom.bit_length() - top.bit_length()) // 2 + 64
+            if shift >= 0:
+                top <<= 2 * shift
+            else:
+                bottom <<= -2 * shift
+            root = math.isqrt(top // bottom)
+            root |= root * root * bottom != top
+            try:
+                return root / (1 << shift) if shift >= 0 else float(root << -shift)
+            except OverflowError:
+                pass
         raise MagnitudeOverflowError(f"{self.base}^({self.exponent}) is too large for a float")
 
     def __mul__(self, other: "HalfPower") -> "HalfPower":

@@ -35,7 +35,6 @@ from padic_oscillator.errors import (
     PadicOscillatorError,
     PrimeCutoffError,
 )
-from padic_oscillator.cli import main
 from padic_oscillator.exact_numbers import _unit_part, primes_upto
 from padic_oscillator.propagator import (
     REAL_PLACE,
@@ -369,9 +368,11 @@ def test_single_place_kernels_certify_their_own_prime_unless_the_model_is_free(e
 
 
 def test_vacuum_command_solves_once_and_builds_one_window_per_prime(solve_calls, endpoint_calls,
-                                                                    capsys):
-    assert main(["vacuum", "-p", "3,5", "--preset", "constant(3)", "--t1", "0", "--t2", "15"]) == 0
-    reports = json.loads(capsys.readouterr().out)["reports"]
+                                                                    run_cli):
+    code, out, _ = run_cli("vacuum", "-p", "3,5", "--preset", "constant(3)", "--t1", "0",
+                           "--t2", "15")
+    assert code == 0
+    reports = json.loads(out)["reports"]
     assert [(row["prime"], row["agree"]) for row in reports] == [(3, True), (5, True)]
     assert solve_calls == [24]
     assert endpoint_calls == [(3,), (5,)]

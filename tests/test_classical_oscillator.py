@@ -93,13 +93,18 @@ def test_wronskian_identity_from_scalar_convention():
 
 
 def test_two_point_trajectory_interpolates_exactly():
-    ap = _solve(preset_example1(1, 1), order=18)
-    ep = endpoint_data(ap, F(0), F(1, 2), x_prime=F(1), x_dprime=F(3, 4))
-    path = trajectory_endpoints(ap, ep)
-    assert path.evaluate(F(0)) == 1
-    assert path.evaluate(F(1, 2)) == F(3, 4)
-    res = trajectory_residual(ap, path)
-    assert res.is_zero_through(ap.order - 2)
+    # at t' != 0 the phase's sine is not 0, so both path coefficients count at t'
+    models = {name: parse_preset(name, 18)
+              for name in ("example1(1,1)", "example2(1,2)", "constant(3)", "free")}
+    models["omega 1,1/2,-2"] = model_from_omega_coeffs([1, F(1, 2), -2], order=18)
+    for name, model in models.items():
+        ap = _solve(model, order=18)
+        for t1, t2 in ((F(0), F(1, 2)), (F(1, 8), F(1, 2)), (F(-1, 4), F(1, 3))):
+            ep = endpoint_data(ap, t1, t2, x_prime=F(1), x_dprime=F(3, 4))
+            path = trajectory_endpoints(ap, ep)
+            assert (path.evaluate(t1), path.evaluate(t2)) == (1, F(3, 4)), (name, t1, t2)
+            res = trajectory_residual(ap, path)
+            assert res.is_zero_through(ap.order - 2)
 
 
 @pytest.mark.parametrize("name", ["example1(1,2)", "example2(1,2)", "constant(3)", "omega"])

@@ -155,6 +155,23 @@ def _ref_half_power_value(h):
     return None if math.isinf(out) else out
 
 
+def _exact_half_power(h):
+    """base^exponent rounded once from a 2400-bit integer square root; None from 2^1024 on."""
+    n = int(2 * h.exponent)
+    top, bottom = (h.base.numerator, h.base.denominator) if n > 0 else \
+        (h.base.denominator, h.base.numerator)
+    top, bottom = top ** abs(n), bottom ** abs(n)
+    if top.bit_length() - bottom.bit_length() > 2050:  # at least 2^1025
+        return None
+    if bottom.bit_length() - top.bit_length() > 2202:  # below 2^-1101
+        return 0.0
+    root = math.isqrt(top * 4**2400 // bottom)
+    try:
+        return float(Fraction(root, 2**2400))
+    except OverflowError:
+        return None
+
+
 def _value_or_none(h):
     try:
         return h.value()
@@ -342,7 +359,30 @@ def test_half_power_values_are_bit_identical_to_the_fraction_reference():
         exponents += [Fraction(rng.randint(-3000, 3000), 2) for _ in range(40)]
         for exponent in exponents:
             h = HalfPower(base, exponent)
-            assert repr(_value_or_none(h)) == repr(_ref_half_power_value(h)), h
+            # where the float route gave no finite nonzero value, the exact one
+            expected = _ref_half_power_value(h) or _exact_half_power(h)
+            assert repr(_value_or_none(h)) == repr(expected), h
+
+
+def test_half_power_past_float_range_bases_round_like_the_exact_root():
+    # where base^k or sqrt(base) is no float but base^exponent is, the value rounds once
+    huge = 10**400
+    bases = [Fraction(huge), Fraction(1, huge), Fraction(2**1100 + 1), Fraction(3, 2**1100),
+             Fraction(huge + 1, huge), Fraction(huge, huge + 7), Fraction(2**2100)]
+    for base in bases:
+        exponents = {Fraction(n, 2) for n in (-3, -2, -1, 1, 2, 3)}
+        bits = abs(math.log2(base.numerator) - math.log2(base.denominator))
+        if bits > 1:  # half-steps around 2^-1075, 2^-1022 and 2^1024, on both signs
+            exponents |= {Fraction(sign * (round(2 * edge / bits) + n), 2) for sign in (1, -1)
+                          for edge in (1022, 1024, 1075) for n in range(-3, 4)}
+        for exponent in exponents:
+            h = HalfPower(base, exponent)
+            expected = _ref_half_power_value(h) or _exact_half_power(h)
+            assert repr(_value_or_none(h)) == repr(expected), h
+    # the values that printed 0.0 or exited 10: |B/h|^(1/2) = 1e-200 and 1e200 exactly
+    assert HalfPower(Fraction(1, huge), Fraction(1, 2)).value() == 1e-200
+    assert HalfPower(Fraction(huge), Fraction(1, 2)).value() == 1e200
+    assert HalfPower(Fraction(huge), Fraction(-1, 2)).value() == 1e-200
 
 
 def test_half_power_out_of_range_is_decided_without_building_the_power():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_oscillator import cli, propagator
+from padic_oscillator import propagator
 from padic_oscillator.classical_oscillator import (
     endpoint_data,
     parse_preset,
@@ -192,9 +192,9 @@ def test_doubling_gate_free_branch_uses_the_free_action(solve_calls):
     assert solve_calls == [8, 16]
 
 
-def test_composition_command_builds_its_three_kernels_from_one_solve(solve_calls, capsys):
-    status = cli.main(["propagator", "--place", "5", "--preset", "example1(2/3,1)",
-                       "--t1", "0", "--t2", "5/7", "--x1", "1", "--x2", "2",
-                       "--order", "12", "--compose", "5/14"])
-    assert status == 0 and solve_calls == [12]
-    assert json.loads(capsys.readouterr().out)["compose"]["max_deviation"] < 1e-9
+def test_composition_command_builds_its_three_kernels_from_one_solve(solve_calls, run_cli):
+    code, out, _ = run_cli("propagator", "--place", "5", "--preset", "example1(2/3,1)",
+                           "--t1", "0", "--t2", "5/7", "--x1", "1", "--x2", "2",
+                           "--order", "12", "--compose", "5/14")
+    assert code == 0 and solve_calls == [12]
+    assert json.loads(out)["compose"]["max_deviation"] < 1e-9
